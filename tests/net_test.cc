@@ -4,8 +4,9 @@
 // ship-rows vs ship-aggs crossover, answer equivalence between
 // distributed and single-host execution, the determinism contract
 // (answers AND cycles bit-identical at any host thread count, in both
-// simulator modes, with a cluster configured), node-kill failover, and
-// the net.* observability surface (counters, EXPLAIN ANALYZE profile,
+// simulator modes, with a cluster configured), node-kill failover,
+// cycle-domain deadlines on node clocks, and the net.* observability
+// surface (counters, EXPLAIN ANALYZE profile,
 // query log fields).
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/fabric.h"
+#include "exec/exec_context.h"
 #include "faults/fault_plan.h"
 #include "net/network_model.h"
 #include "net/topology.h"
@@ -431,6 +433,74 @@ TEST(NetExecTest, AllNodesDeadIsUnavailableUnlessPartialAllowed) {
                                     {.allow_partial = true});
   ASSERT_TRUE(partial.ok()) << partial.status().ToString();
   EXPECT_TRUE(partial->result.partial);
+}
+
+/// Runs `sql` under `options` at the executor layer, so the profile
+/// survives an error status (the Fabric wrapper drops it).
+Status RunWithProfile(Fabric* fabric, const std::string& sql,
+                      const Fabric::QueryOptions& options,
+                      obs::QueryProfile* profile) {
+  auto plan = fabric->ExplainSql(sql, options);
+  if (!plan.ok()) return plan.status();
+  query::Executor executor(&fabric->catalog(), &fabric->rm(),
+                           fabric->cost_model());
+  exec::ExecContext ctx;
+  ctx.profile = profile;
+  ctx.scheduler = &fabric->shard_scheduler();
+  ctx.health = &fabric->health();
+  ctx.options = options;
+  return executor.Execute(*plan, ctx).status();
+}
+
+TEST(NetExecTest, DeadlineCancelsClusterFanOutDeterministically) {
+  // 3 nodes, 4 shards, round-robin: node0 serves shards 0 and 3 back to
+  // back, so half the full fan-out's cycles cuts into its second shard.
+  const std::string sql = "SELECT COUNT(*), SUM(v) FROM m";
+  auto reference = MakeFabric(/*nodes=*/3);
+  auto full = reference->ExecuteSql(sql);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  const Fabric::QueryOptions tight = {
+      .analyze = true, .deadline_cycles = full->result.sim_cycles / 2};
+
+  std::string want_status;
+  std::string want_table;
+  for (const int host_threads : {1, 4}) {
+    SCOPED_TRACE("host_threads=" + std::to_string(host_threads));
+    auto fabric = MakeFabric(/*nodes=*/3);
+    fabric->shard_scheduler().set_host_threads(host_threads);
+    auto cancelled = fabric->ExecuteSql(sql, tight);
+    ASSERT_FALSE(cancelled.ok());
+    EXPECT_EQ(cancelled.status().code(), StatusCode::kDeadlineExceeded)
+        << cancelled.status().ToString();
+
+    // The profile is intact: per-shard node/ship attribution for every
+    // scanned shard, the cancelled ones marked, the total clamped.
+    obs::QueryProfile profile;
+    const Status direct = RunWithProfile(fabric.get(), sql, tight, &profile);
+    EXPECT_EQ(direct.ToString(), cancelled.status().ToString());
+    EXPECT_EQ(profile.nodes, 3u);
+    EXPECT_EQ(profile.shards_scanned, 4u);
+    EXPECT_GT(profile.shards_cancelled, 0u);
+    EXPECT_LT(profile.shards_cancelled, 4u);
+    EXPECT_EQ(profile.total_cycles,
+              static_cast<double>(tight.deadline_cycles));
+    int cancelled_ops = 0;
+    for (const obs::OpStats& op : profile.ops) {
+      if (op.name.rfind("Shard[", 0) != 0) continue;
+      EXPECT_NE(op.name.find(" node="), std::string::npos) << op.name;
+      if (op.name.find("(cancelled)") != std::string::npos) ++cancelled_ops;
+    }
+    EXPECT_EQ(static_cast<uint32_t>(cancelled_ops), profile.shards_cancelled);
+
+    // Same status and same profile at every host thread count.
+    if (want_status.empty()) {
+      want_status = direct.ToString();
+      want_table = profile.ToTable();
+    } else {
+      EXPECT_EQ(direct.ToString(), want_status);
+      EXPECT_EQ(profile.ToTable(), want_table);
+    }
+  }
 }
 
 TEST(NetExecTest, ProfileAndCountersCarryTheNetworkStory) {

@@ -264,6 +264,35 @@ TEST_F(ShardExecTest, MaxThreadsScalesCyclesNotAnswers) {
   EXPECT_EQ(four->result.sim_cycles, wide->result.sim_cycles);
 }
 
+// Exact single-host fan-out cycles, in both simulator modes. The merge
+// charges shard_merge_task_cycles per serving shard plus
+// agg_update_cycles for every partial slot of every shard — matched or
+// not — and for every slot of every group it shipped. A cluster's
+// free-network ingest rule would charge a shard with no matching rows
+// nothing and a grouped shard only its groups; these pins tell the two
+// rules apart.
+TEST(ShardCyclePinTest, SingleHostMergeChargeIsExact) {
+  for (const char* fast_path : {"1", "0"}) {
+    setenv("RELFAB_SIM_FAST_PATH", fast_path, /*overwrite=*/1);
+    SCOPED_TRACE(std::string("fast_path=") + fast_path);
+    auto fabric = MakeFabric();
+    // Shard 0 scans only k=999 (v=6), which does not match.
+    auto sparse = fabric->ExecuteSql(
+        "SELECT COUNT(*), SUM(v) FROM m WHERE k >= 999 AND k <= 1000 AND "
+        "v = 13");
+    ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+    EXPECT_EQ(sparse->result.aggregates[0], 1.0);
+    EXPECT_EQ(sparse->result.sim_cycles, 25180u);
+
+    auto grouped =
+        fabric->ExecuteSql("SELECT g, COUNT(*), SUM(v) FROM m GROUP BY g");
+    ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+    EXPECT_EQ(grouped->result.groups.size(), 5u);
+    EXPECT_EQ(grouped->result.sim_cycles, 28905u);
+  }
+  unsetenv("RELFAB_SIM_FAST_PATH");
+}
+
 // ------------------------------------------------------ observability
 
 TEST_F(ShardExecTest, ExplainAnalyzeReportsShardAccounting) {
