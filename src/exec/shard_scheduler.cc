@@ -5,12 +5,12 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "engine/rm_exec.h"
 #include "engine/volcano.h"
-#include "exec/node_group.h"
 #include "faults/fault_plan.h"
 #include "faults/injector.h"
 #include "layout/row_table.h"
@@ -53,7 +53,7 @@ struct ShardScheduler::ShardRun {
   uint32_t failovers = 0;
   /// True when a cycle-domain deadline cancelled this shard post-join.
   bool cancelled = false;
-  // --- distributed-mode outcome (single-threaded pre/post sections) ---
+  // --- cluster-only outcome (single-threaded pre/post sections) ---
   /// Node hosting the serving replica.
   uint32_t node = 0;
   /// Wire format of this shard's partial (planner's choice).
@@ -61,6 +61,15 @@ struct ShardScheduler::ShardRun {
   /// The priced node → coordinator transfer.
   net::Transfer transfer;
 };
+
+size_t PartialSlotCount(const engine::QuerySpec& spec) {
+  const bool any_avg =
+      std::any_of(spec.aggregates.begin(), spec.aggregates.end(),
+                  [](const engine::AggSpec& agg) {
+                    return agg.func == engine::AggFunc::kAvg;
+                  });
+  return spec.aggregates.size() + (any_avg ? 1 : 0);
+}
 
 namespace {
 
@@ -89,14 +98,11 @@ PartialPlan MakePartialPlan(const engine::QuerySpec& spec) {
     pp.slot_func.push_back(partial.func);
     pp.spec.aggregates.push_back(partial);
   }
-  for (const engine::AggSpec& agg : spec.aggregates) {
-    if (agg.func == engine::AggFunc::kAvg) {
-      pp.count_slot = static_cast<int>(pp.spec.aggregates.size());
-      pp.slot_func.push_back(engine::AggFunc::kCount);
-      pp.spec.aggregates.push_back(
-          engine::AggSpec{engine::AggFunc::kCount, -1});
-      break;  // one shared denominator serves every AVG
-    }
+  if (PartialSlotCount(spec) > spec.aggregates.size()) {
+    // One shared denominator serves every AVG.
+    pp.count_slot = static_cast<int>(pp.spec.aggregates.size());
+    pp.slot_func.push_back(engine::AggFunc::kCount);
+    pp.spec.aggregates.push_back(engine::AggSpec{engine::AggFunc::kCount, -1});
   }
   return pp;
 }
@@ -153,11 +159,22 @@ faults::FaultPlan PlanForShard(const faults::FaultPlan& base,
   return plan;
 }
 
-/// Failure-domain component name of replica j of shard i.
-std::string ReplicaName(const std::string& table, uint32_t shard,
-                        uint32_t replica) {
-  return table + ".shard" + std::to_string(shard) + ".r" +
-         std::to_string(replica);
+/// One selection attempt on a failure-domain component: it serves when
+/// it is alive and survives this attempt's `kill_site` draw. Without a
+/// health registry every component serves.
+bool Serves(const ExecContext& ctx, std::string_view kill_site,
+            const std::string& component, uint64_t now) {
+  return ctx.health == nullptr ||
+         (ctx.health->alive(component) &&
+          !ctx.health->DrawKill(kill_site, component, now));
+}
+
+/// Rows of partial slots a shard ships as aggregates: one per group, or
+/// for an ungrouped query one when any row matched.
+uint64_t ShippedGroups(const engine::QuerySpec& spec, size_t slots,
+                       const engine::QueryResult& r) {
+  if (!spec.group_by.empty()) return r.groups.size();
+  return slots > 0 && r.rows_matched > 0 ? 1 : 0;
 }
 
 }  // namespace
@@ -176,8 +193,9 @@ ShardScheduler::Rig& ShardScheduler::RigForSlot(int slot) {
 void ShardScheduler::RunShardTask(const Request& req,
                                   const engine::QuerySpec& partial_spec,
                                   const ExecContext& ctx, uint32_t shard_id,
-                                  sim::MemorySystem* memory,
-                                  relmem::RmEngine* rm, ShardRun* out) {
+                                  Rig* rig, ShardRun* out) {
+  sim::MemorySystem* memory = &rig->memory;
+  relmem::RmEngine* rm = &rig->rm;
   memory->ResetAddressSpace();
 
   // Private per-shard injector: armed only when the stack is armed.
@@ -242,9 +260,6 @@ void ShardScheduler::RunShardTask(const Request& req,
 
 void ShardScheduler::ConfigureCluster(const net::Topology& topology) {
   topology_ = topology;
-  nodes_ = topology_.enabled()
-               ? std::make_unique<NodeGroup>(sim_params_, topology_.nodes())
-               : nullptr;
   if (node_bytes_.size() < topology_.nodes()) {
     node_bytes_.resize(topology_.nodes(), 0);
   }
@@ -254,10 +269,10 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
                                                       const ExecContext& ctx) {
   RELFAB_CHECK(req.table != nullptr && req.spec != nullptr &&
                req.shard_ids != nullptr);
-  if (topology_.enabled()) return ExecuteDistributed(req, ctx);
   const std::vector<uint32_t>& ids = *req.shard_ids;
   const uint32_t total = req.table->num_shards();
   const uint32_t replicas = req.table->num_replicas();
+  const bool cluster = topology_.enabled();
   const uint64_t now = ctx.tracer != nullptr ? ctx.tracer->Now() : 0;
   ++queries_;
 
@@ -265,61 +280,68 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
   span.AddArg("backend", std::string(BackendToString(req.backend)));
   span.AddArg("shards_scanned", ids.size());
   span.AddArg("shards_total", total);
+  if (cluster) span.AddArg("nodes", topology_.nodes());
 
   const PartialPlan pp = MakePartialPlan(*req.spec);
+  const size_t slots = pp.spec.aggregates.size();
   std::vector<ShardRun> runs(ids.size());
 
   // --- pre-fan-out, single-threaded: pick each shard's serving replica.
-  // Lowest-index live replica wins; one "shard.kill" opportunity per
-  // selection attempt, so replica j is never drawn until replicas
-  // 0..j-1 are dead. Because selection runs before the pool and walks
+  // Lowest-index live replica wins. Each selection attempt draws one
+  // "shard.kill" on the replica — under a cluster after one "node.kill"
+  // on the node the placement puts it on — so replica j is never drawn
+  // until replicas 0..j-1 are dead, and a dead node fails all its
+  // replicas over. Because selection runs before the pool and walks
   // shards in shard-major order, the death schedule is a pure function
   // of (plan, workload) — bit-identical at any host thread count.
+  const std::string dead =
+      std::to_string(replicas) +
+      (cluster ? " replica(s) dead or on dead nodes" : " replica(s) dead");
   std::vector<size_t> serving;  // indices into ids/runs
   serving.reserve(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
-    int picked = -1;
-    uint32_t failovers = 0;
-    for (uint32_t j = 0; j < replicas; ++j) {
-      const std::string name = ReplicaName(req.table_name, ids[i], j);
-      if (ctx.health != nullptr) {
-        if (!ctx.health->alive(name)) {
-          ++failovers;
-          continue;
-        }
-        if (ctx.health->DrawKill("shard.kill", name, now)) {
-          ++failovers;
-          continue;
-        }
+    ShardRun& run = runs[i];
+    run.serving = false;
+    for (uint32_t j = 0; j < replicas && !run.serving; ++j) {
+      const uint32_t node =
+          cluster ? topology_.NodeFor(ids[i], j, total, req.table->placement())
+                  : 0;
+      run.serving =
+          (!cluster ||
+           Serves(ctx, "node.kill", net::Topology::NodeName(node), now)) &&
+          Serves(ctx, "shard.kill",
+                 net::Topology::ReplicaName(req.table_name, ids[i], j), now);
+      if (!run.serving) {
+        ++run.failovers;
+        continue;
       }
-      picked = static_cast<int>(j);
-      break;
+      run.replica = static_cast<int>(j);
+      run.node = node;
     }
-    runs[i].failovers = failovers;
-    if (picked < 0) {
-      runs[i].serving = false;
+    if (!run.serving) {
       ++shards_unavailable_;
       if (ctx.recorder != nullptr) {
         ctx.recorder->Log("shard",
                           "shard " + std::to_string(ids[i]) + " of '" +
-                              req.table_name + "' unavailable: all " +
-                              std::to_string(replicas) + " replica(s) dead",
+                              req.table_name + "' unavailable: all " + dead,
                           now);
       }
       if (!ctx.options.allow_partial) {
         return Status::Unavailable(
             "shard " + std::to_string(ids[i]) + " of '" + req.table_name +
-            "' has no live replica (" + std::to_string(replicas) +
-            " replica(s) dead); set allow_partial to answer from the "
-            "survivors");
+            "' has no live replica (" + dead +
+            "); set allow_partial to answer from the survivors");
       }
       continue;
     }
-    runs[i].replica = picked;
+    run.ship = req.ship != nullptr && i < req.ship->size()
+                   ? (*req.ship)[i]
+                   : net::ShipMode::kAggs;
     serving.push_back(i);
   }
 
-  // --- fan out: host pool pulls serving-shard tasks from a cursor ---
+  // --- fan out: one task per serving shard; the host pool pulls tasks
+  // from a cursor onto worker-private rigs ---
   int host = host_threads_ > 0
                  ? host_threads_
                  : static_cast<int>(std::thread::hardware_concurrency());
@@ -334,7 +356,7 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
       const size_t pick = next.fetch_add(1);
       if (pick >= serving.size()) break;
       const size_t i = serving[pick];
-      RunShardTask(req, pp.spec, ctx, ids[i], &rig.memory, &rig.rm, &runs[i]);
+      RunShardTask(req, pp.spec, ctx, ids[i], &rig, &runs[i]);
     }
   };
   if (host <= 1) {
@@ -354,8 +376,8 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
   }
 
   // Failover surcharge on the shard's own clock: detecting a dead
-  // replica (missed heartbeat) and re-dispatching is paid before the
-  // surviving replica's scan starts.
+  // replica or node (missed heartbeat) and re-dispatching is paid before
+  // the surviving replica's scan starts.
   for (const size_t i : serving) {
     runs[i].cycles += static_cast<uint64_t>(
         static_cast<double>(runs[i].failovers) *
@@ -363,33 +385,58 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
     shards_failed_over_ += runs[i].failovers;
   }
 
-  // --- cycle model: shard-major deal onto simulated workers ---
-  // Each simulated worker's clock is the sum of its shards' cycles; a
-  // shard "completes" at its worker's clock after its scan. With a
+  // --- cluster: price each shard's transfer and charge the pack cost to
+  // the producing node. Both ship modes carry the identical partial
+  // result; only the wire format differs.
+  if (cluster) {
+    const layout::Schema& schema = req.table->schema();
+    uint32_t row_bytes = 0;
+    for (uint32_t c : req.spec->ReferencedColumns(schema)) {
+      row_bytes += schema.width(c);
+    }
+    const uint32_t key_bytes =
+        static_cast<uint32_t>(req.spec->group_by.size()) * 8;
+    const net::NetworkModel netm(topology_.network(),
+                                 req.cost.net_serialize_row_cycles,
+                                 req.cost.net_serialize_agg_cycles);
+    for (const size_t i : serving) {
+      ShardRun& run = runs[i];
+      run.transfer =
+          run.ship == net::ShipMode::kRows
+              ? netm.ShipRows(run.result.rows_matched, row_bytes)
+              : netm.ShipAggs(ShippedGroups(*req.spec, slots, run.result),
+                              key_bytes, slots);
+      run.cycles += static_cast<uint64_t>(run.transfer.serialize_cycles);
+    }
+  }
+
+  // --- cycle model: each serving shard is charged to one clock lane —
+  // its node under a cluster, else simulated worker k % W for the k-th
+  // serving shard. A lane's clock is the sum of its shards' cycles and
+  // a shard "completes" at its lane's clock after its scan. With a
   // deadline armed, shards completing past it are cancelled — evaluated
   // on the simulated clock, so expiry is scheduling-invariant.
-  size_t sim_workers = ctx.options.max_threads > 0
-                           ? static_cast<size_t>(ctx.options.max_threads)
-                           : serving.size();
-  sim_workers =
-      std::max<size_t>(1, std::min(sim_workers, std::max<size_t>(
-                                                    1, serving.size())));
-  std::vector<uint64_t> worker_cycles(sim_workers, 0);
+  size_t lanes = topology_.nodes();
+  if (!cluster) {
+    const size_t width = ctx.options.max_threads > 0
+                             ? static_cast<size_t>(ctx.options.max_threads)
+                             : serving.size();
+    lanes = std::clamp<size_t>(width, 1, std::max<size_t>(1, serving.size()));
+  }
+  std::vector<uint64_t> lane_clock(lanes, 0);
   const uint64_t deadline = ctx.options.deadline_cycles;
   size_t cancelled_count = 0;
   for (size_t k = 0; k < serving.size(); ++k) {
     ShardRun& run = runs[serving[k]];
-    uint64_t& clock = worker_cycles[k % sim_workers];
+    uint64_t& clock = lane_clock[cluster ? run.node : k % lanes];
     clock += run.cycles;
     if (deadline > 0 && clock > deadline) {
       run.cancelled = true;
       ++cancelled_count;
     }
   }
-  uint64_t parallel_cycles = 0;
-  for (uint64_t c : worker_cycles) {
-    parallel_cycles = std::max(parallel_cycles, c);
-  }
+  const uint64_t parallel_cycles =
+      *std::max_element(lane_clock.begin(), lane_clock.end());
   shards_cancelled_ += cancelled_count;
 
   // --- circuit-breaker reports, shard order (cancelled shards report
@@ -398,381 +445,7 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
     for (const size_t i : serving) {
       const ShardRun& run = runs[i];
       if (run.cancelled) continue;
-      const std::string name =
-          ReplicaName(req.table_name, ids[i], static_cast<uint32_t>(run.replica));
-      if (run.degraded) {
-        if (run.exhausted > 0) {
-          ctx.health->ReportExhausted(name, run.cause, now);
-        } else {
-          ctx.health->ReportFailure(name, run.cause, now);
-        }
-      } else {
-        ctx.health->ReportSuccess(name);
-      }
-    }
-  }
-
-  // --- meters + degradation bookkeeping (shard order, completed only) ---
-  shards_scanned_ += serving.size();
-  shards_pruned_ += total - ids.size();
-  std::string degraded_note;
-  for (const size_t i : serving) {
-    const ShardRun& run = runs[i];
-    if (run.cancelled) continue;
-    shard_cycles_.Observe(static_cast<double>(run.cycles));
-    if (ctx.digests != nullptr) {
-      // Shard-order observation in single-threaded post-join code: the
-      // digest contents are independent of the host worker count.
-      ctx.digests->Observe("shard.cycles", static_cast<double>(run.cycles));
-      ctx.digests->Observe("shard." + std::to_string(ids[i]) + ".cycles",
-                           static_cast<double>(run.cycles));
-    }
-    faults_injected_ += run.injected;
-    if (run.degraded) {
-      ++shards_degraded_;
-      if (ctx.injector != nullptr) {
-        ctx.injector->NoteFallback(
-            "shard." + std::string(BackendToString(req.backend)));
-      }
-      if (ctx.recorder != nullptr) {
-        ctx.recorder->Log(
-            "shard",
-            "shard " + std::to_string(ids[i]) + " degraded: " + run.cause,
-            now);
-      }
-      if (degraded_note.empty()) {
-        std::ostringstream os;
-        os << "shard " << ids[i] << ": " << run.cause
-           << "; shard re-run on ROW backend (" << (serving.size() - 1)
-           << " other shard(s) unaffected)";
-        degraded_note = os.str();
-      }
-    }
-  }
-
-  // --- profile ops, one per surviving shard (both exits share this) ---
-  const auto fill_profile_ops = [&]() {
-    obs::QueryProfile* prof = ctx.profile;
-    prof->shards_total = total;
-    prof->shards_scanned = static_cast<uint32_t>(serving.size());
-    prof->shards_pruned = total - static_cast<uint32_t>(ids.size());
-    prof->shards_unavailable =
-        static_cast<uint32_t>(ids.size() - serving.size());
-    prof->shards_cancelled = static_cast<uint32_t>(cancelled_count);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      const ShardRun& run = runs[i];
-      obs::OpStats op;
-      std::ostringstream name;
-      name << "Shard[" << ids[i] << "] ";
-      if (!run.serving) {
-        name << "(dead, skipped)";
-        op.name = name.str();
-        op.rows_in = req.table->shard(ids[i]).num_rows();
-        prof->ops.push_back(std::move(op));
-        continue;
-      }
-      prof->shards_failed_over += run.failovers;
-      name << BackendToString(req.backend);
-      if (run.degraded) name << "->ROW";
-      if (run.replica > 0) {
-        name << " replica=" << run.replica << " (failover)";
-      }
-      if (run.cancelled) name << " (cancelled)";
-      op.name = name.str();
-      op.rows_in = run.shard_rows;
-      op.rows_out = run.result.rows_matched;
-      op.cpu_cycles = run.sample.cpu_cycles;
-      op.dram_lines_demand = run.sample.dram_lines_demand;
-      op.dram_lines_gather = run.sample.dram_lines_gather;
-      op.fabric_reads = run.sample.fabric_reads;
-      op.l1_misses = run.sample.l1_misses;
-      op.l2_misses = run.sample.l2_misses;
-      prof->ops.push_back(std::move(op));
-    }
-    if (!degraded_note.empty()) prof->fallback = degraded_note;
-  };
-
-  if (cancelled_count > 0) {
-    // Deadline expiry: the merge never runs; the profile survives with
-    // per-shard ops intact and the total clamped to the deadline.
-    if (ctx.recorder != nullptr) {
-      ctx.recorder->Log("shard",
-                        "deadline of " + std::to_string(deadline) +
-                            " cycles exceeded: " +
-                            std::to_string(cancelled_count) + " of " +
-                            std::to_string(serving.size()) +
-                            " shard(s) cancelled",
-                        now);
-    }
-    if (ctx.profile != nullptr) {
-      fill_profile_ops();
-      ctx.profile->total_cycles = static_cast<double>(deadline);
-    }
-    return Status::DeadlineExceeded(
-        "query exceeded deadline of " + std::to_string(deadline) +
-        " cycles: " + std::to_string(cancelled_count) + " of " +
-        std::to_string(serving.size()) + " shard(s) cancelled");
-  }
-
-  // --- merge, shard-major over the serving shards ---
-  const size_t slots = pp.spec.aggregates.size();
-  engine::QueryResult merged;
-  std::vector<double> flat(slots, 0);
-  std::vector<bool> flat_any(slots, false);
-  std::map<engine::GroupKey, std::vector<double>> groups;
-  uint64_t merge_units = serving.size() * slots;
-
-  for (const size_t i : serving) {
-    const engine::QueryResult& r = runs[i].result;
-    merged.rows_scanned += r.rows_scanned;
-    merged.rows_matched += r.rows_matched;
-    merged.projection_checksum += r.projection_checksum;
-    if (r.rows_matched > 0 && req.spec->group_by.empty()) {
-      for (size_t j = 0; j < slots; ++j) {
-        CombineSlot(pp.slot_func[j], !flat_any[j], r.aggregates[j],
-                    &flat[j]);
-        flat_any[j] = true;
-      }
-    }
-    merge_units += r.groups.size() * slots;
-    for (const auto& [key, vals] : r.groups) {
-      auto [it, inserted] = groups.emplace(key, vals);
-      if (!inserted) {
-        for (size_t j = 0; j < slots; ++j) {
-          CombineSlot(pp.slot_func[j], false, vals[j], &it->second[j]);
-        }
-      }
-    }
-  }
-
-  if (!req.spec->aggregates.empty() && req.spec->group_by.empty()) {
-    merged.aggregates = FinalizeSlots(*req.spec, pp, flat);
-  }
-  merged.groups.reserve(groups.size());
-  for (const auto& [key, vals] : groups) {
-    merged.groups.emplace_back(key, FinalizeSlots(*req.spec, pp, vals));
-  }
-  merged.partial = serving.size() < ids.size();
-
-  const double merge_cycles =
-      static_cast<double>(serving.size()) * req.cost.shard_merge_task_cycles +
-      static_cast<double>(merge_units) * req.cost.agg_update_cycles;
-  merged.sim_cycles = parallel_cycles + static_cast<uint64_t>(merge_cycles);
-
-  if (ctx.profile != nullptr) {
-    fill_profile_ops();
-    obs::QueryProfile* prof = ctx.profile;
-    obs::OpStats merge_op;
-    std::ostringstream name;
-    name << "Merge[workers=" << sim_workers << "]";
-    merge_op.name = name.str();
-    merge_op.rows_in = merged.rows_matched;
-    merge_op.rows_out =
-        merged.groups.empty() ? merged.rows_matched : merged.groups.size();
-    merge_op.cpu_cycles = merge_cycles;
-    prof->ops.push_back(std::move(merge_op));
-    prof->total_cycles = static_cast<double>(merged.sim_cycles);
-  }
-
-  span.AddArg("rows_matched", merged.rows_matched);
-  span.AddArg("sim_workers", sim_workers);
-  return merged;
-}
-
-StatusOr<engine::QueryResult> ShardScheduler::ExecuteDistributed(
-    const Request& req, const ExecContext& ctx) {
-  const std::vector<uint32_t>& ids = *req.shard_ids;
-  const uint32_t total = req.table->num_shards();
-  const uint32_t replicas = req.table->num_replicas();
-  const net::Placement placement = req.table->placement();
-  const uint64_t now = ctx.tracer != nullptr ? ctx.tracer->Now() : 0;
-  ++queries_;
-
-  obs::Span span(ctx.tracer, "query.shard_fanout", "query");
-  span.AddArg("backend", std::string(BackendToString(req.backend)));
-  span.AddArg("shards_scanned", ids.size());
-  span.AddArg("shards_total", total);
-  span.AddArg("nodes", topology_.nodes());
-
-  const PartialPlan pp = MakePartialPlan(*req.spec);
-  std::vector<ShardRun> runs(ids.size());
-
-  // --- pre-fan-out, single-threaded: route each shard to the node of
-  // its serving replica. Replica j of shard i lives on the node the
-  // placement maps it to; the replica serves only if both the node and
-  // the replica itself are alive, with one "node.kill" draw on the node
-  // and one "shard.kill" draw on the replica per selection attempt. A
-  // dead node therefore fails all its replicas over to other nodes in
-  // one shard-major deterministic sweep.
-  std::vector<size_t> serving;  // indices into ids/runs
-  serving.reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    int picked = -1;
-    uint32_t failovers = 0;
-    for (uint32_t j = 0; j < replicas; ++j) {
-      const uint32_t node = topology_.NodeFor(ids[i], j, total, placement);
-      const std::string node_name = net::Topology::NodeName(node);
-      const std::string name = ReplicaName(req.table_name, ids[i], j);
-      if (ctx.health != nullptr) {
-        if (!ctx.health->alive(node_name)) {
-          ++failovers;
-          continue;
-        }
-        if (ctx.health->DrawKill("node.kill", node_name, now)) {
-          ++failovers;
-          continue;
-        }
-        if (!ctx.health->alive(name)) {
-          ++failovers;
-          continue;
-        }
-        if (ctx.health->DrawKill("shard.kill", name, now)) {
-          ++failovers;
-          continue;
-        }
-      }
-      picked = static_cast<int>(j);
-      runs[i].node = node;
-      break;
-    }
-    runs[i].failovers = failovers;
-    if (picked < 0) {
-      runs[i].serving = false;
-      ++shards_unavailable_;
-      if (ctx.recorder != nullptr) {
-        ctx.recorder->Log("shard",
-                          "shard " + std::to_string(ids[i]) + " of '" +
-                              req.table_name + "' unavailable: all " +
-                              std::to_string(replicas) +
-                              " replica(s) dead or on dead nodes",
-                          now);
-      }
-      if (!ctx.options.allow_partial) {
-        return Status::Unavailable(
-            "shard " + std::to_string(ids[i]) + " of '" + req.table_name +
-            "' has no live replica (" + std::to_string(replicas) +
-            " replica(s) dead or on dead nodes); set allow_partial to "
-            "answer from the survivors");
-      }
-      continue;
-    }
-    runs[i].replica = picked;
-    runs[i].ship = req.ship != nullptr && i < req.ship->size()
-                       ? (*req.ship)[i]
-                       : net::ShipMode::kAggs;
-    serving.push_back(i);
-  }
-
-  // --- fan out: shards grouped by serving node, one host task per node.
-  // A node's shards run sequentially on that node's own rig in shard
-  // order, so exactly one host worker ever touches a node rig during
-  // the fan-out — cycles are bit-identical at any host thread count.
-  std::map<uint32_t, std::vector<size_t>> by_node;
-  for (const size_t i : serving) by_node[runs[i].node].push_back(i);
-  std::vector<std::pair<uint32_t, const std::vector<size_t>*>> node_tasks;
-  node_tasks.reserve(by_node.size());
-  for (const auto& [node, list] : by_node) {
-    node_tasks.emplace_back(node, &list);
-  }
-
-  int host = host_threads_ > 0
-                 ? host_threads_
-                 : static_cast<int>(std::thread::hardware_concurrency());
-  if (host < 1) host = 1;
-  if (static_cast<size_t>(host) > node_tasks.size()) {
-    host = static_cast<int>(node_tasks.size());
-  }
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    for (;;) {
-      const size_t pick = next.fetch_add(1);
-      if (pick >= node_tasks.size()) break;
-      NodeGroup::NodeRig& rig = nodes_->rig(node_tasks[pick].first);
-      for (const size_t i : *node_tasks[pick].second) {
-        RunShardTask(req, pp.spec, ctx, ids[i], &rig.memory, &rig.rm,
-                     &runs[i]);
-      }
-    }
-  };
-  if (host <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(host));
-    for (int t = 0; t < host; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
-  // --- post-join, single-threaded, shard-major from here on ---
-  for (const size_t i : serving) {
-    if (!runs[i].status.ok()) return runs[i].status;
-  }
-
-  // Failover surcharge (dead replicas and dead nodes alike: detection
-  // is a missed heartbeat either way).
-  for (const size_t i : serving) {
-    runs[i].cycles += static_cast<uint64_t>(
-        static_cast<double>(runs[i].failovers) *
-        req.cost.shard_failover_cycles);
-    shards_failed_over_ += runs[i].failovers;
-  }
-
-  // --- node-side serialization: price each shard's transfer and charge
-  // the pack cost to the producing node's clock. Both ship modes carry
-  // the identical partial result; only the wire format differs.
-  const layout::Schema& schema = req.table->schema();
-  uint32_t row_bytes = 0;
-  for (uint32_t c : req.spec->ReferencedColumns(schema)) {
-    row_bytes += schema.width(c);
-  }
-  const uint32_t key_bytes =
-      static_cast<uint32_t>(req.spec->group_by.size()) * 8;
-  const size_t slots = pp.spec.aggregates.size();
-  const net::NetworkModel netm(topology_.network(),
-                               req.cost.net_serialize_row_cycles,
-                               req.cost.net_serialize_agg_cycles);
-  for (const size_t i : serving) {
-    ShardRun& run = runs[i];
-    const engine::QueryResult& r = run.result;
-    if (run.ship == net::ShipMode::kRows) {
-      run.transfer = netm.ShipRows(r.rows_matched, row_bytes);
-    } else {
-      const uint64_t groups = req.spec->group_by.empty()
-                                  ? (slots > 0 && r.rows_matched > 0 ? 1 : 0)
-                                  : r.groups.size();
-      run.transfer = netm.ShipAggs(groups, key_bytes, slots);
-    }
-    run.cycles += static_cast<uint64_t>(run.transfer.serialize_cycles);
-  }
-
-  // --- cycle model: each node's clock is the sum of its shards' scan +
-  // serialize cycles (they run sequentially where the data lives); the
-  // fan-out costs max-over-nodes. Deadlines are evaluated on the node
-  // clocks, shard-major, exactly like the single-host simulated workers.
-  std::vector<uint64_t> node_clock(topology_.nodes(), 0);
-  const uint64_t deadline = ctx.options.deadline_cycles;
-  size_t cancelled_count = 0;
-  for (const size_t i : serving) {
-    uint64_t& clock = node_clock[runs[i].node];
-    clock += runs[i].cycles;
-    if (deadline > 0 && clock > deadline) {
-      runs[i].cancelled = true;
-      ++cancelled_count;
-    }
-  }
-  uint64_t parallel_cycles = 0;
-  for (uint64_t c : node_clock) {
-    parallel_cycles = std::max(parallel_cycles, c);
-  }
-  shards_cancelled_ += cancelled_count;
-
-  // --- circuit-breaker reports, shard order (cancelled shards report
-  // nothing: they neither succeeded nor failed) ---
-  if (ctx.health != nullptr) {
-    for (const size_t i : serving) {
-      const ShardRun& run = runs[i];
-      if (run.cancelled) continue;
-      const std::string name = ReplicaName(
+      const std::string name = net::Topology::ReplicaName(
           req.table_name, ids[i], static_cast<uint32_t>(run.replica));
       if (run.degraded) {
         if (run.exhausted > 0) {
@@ -786,7 +459,7 @@ StatusOr<engine::QueryResult> ShardScheduler::ExecuteDistributed(
     }
   }
 
-  // --- meters + degradation + network bookkeeping (shard order,
+  // --- meters, degradation and network bookkeeping (shard order,
   // completed only) ---
   shards_scanned_ += serving.size();
   shards_pruned_ += total - ids.size();
@@ -806,29 +479,28 @@ StatusOr<engine::QueryResult> ShardScheduler::ExecuteDistributed(
       ctx.digests->Observe("shard.cycles", static_cast<double>(run.cycles));
       ctx.digests->Observe("shard." + std::to_string(ids[i]) + ".cycles",
                            static_cast<double>(run.cycles));
-      ctx.digests->Observe("net.shard.bytes",
-                           static_cast<double>(run.transfer.payload_bytes));
+      if (cluster) {
+        ctx.digests->Observe("net.shard.bytes",
+                             static_cast<double>(run.transfer.payload_bytes));
+      }
     }
-    net_bytes_ += run.transfer.payload_bytes;
-    net_messages_ += run.transfer.messages;
-    query_net_bytes += run.transfer.payload_bytes;
-    query_net_messages += run.transfer.messages;
-    query_node_bytes[run.node] += run.transfer.payload_bytes;
-    if (run.node < node_bytes_.size()) {
+    if (cluster) {
+      net_bytes_ += run.transfer.payload_bytes;
+      net_messages_ += run.transfer.messages;
+      query_net_bytes += run.transfer.payload_bytes;
+      query_net_messages += run.transfer.messages;
+      query_node_bytes[run.node] += run.transfer.payload_bytes;
       node_bytes_[run.node] += run.transfer.payload_bytes;
-    }
-    if (run.ship == net::ShipMode::kRows) {
-      ++shards_ship_rows_;
-      ++query_ship_rows;
-      net_rows_shipped_ += run.result.rows_matched;
-    } else {
-      ++shards_ship_aggs_;
-      ++query_ship_aggs;
-      net_agg_values_shipped_ +=
-          (req.spec->group_by.empty()
-               ? (slots > 0 && run.result.rows_matched > 0 ? 1 : 0)
-               : run.result.groups.size()) *
-          slots;
+      if (run.ship == net::ShipMode::kRows) {
+        ++shards_ship_rows_;
+        ++query_ship_rows;
+        net_rows_shipped_ += run.result.rows_matched;
+      } else {
+        ++shards_ship_aggs_;
+        ++query_ship_aggs;
+        net_agg_values_shipped_ +=
+            ShippedGroups(*req.spec, slots, run.result) * slots;
+      }
     }
     faults_injected_ += run.injected;
     if (run.degraded) {
@@ -853,7 +525,8 @@ StatusOr<engine::QueryResult> ShardScheduler::ExecuteDistributed(
     }
   }
   if (ctx.digests != nullptr) {
-    // Node-ascending per-node traffic observations (map order).
+    // Node-ascending per-node traffic observations (map order; empty
+    // without a cluster).
     for (const auto& [node, bytes] : query_node_bytes) {
       ctx.digests->Observe("net." + net::Topology::NodeName(node) + ".bytes",
                            static_cast<double>(bytes));
@@ -889,8 +562,10 @@ StatusOr<engine::QueryResult> ShardScheduler::ExecuteDistributed(
       prof->shards_failed_over += run.failovers;
       name << BackendToString(req.backend);
       if (run.degraded) name << "->ROW";
-      name << " node=" << run.node
-           << " ship=" << net::ShipModeToString(run.ship);
+      if (cluster) {
+        name << " node=" << run.node
+             << " ship=" << net::ShipModeToString(run.ship);
+      }
       if (run.replica > 0) {
         name << " replica=" << run.replica << " (failover)";
       }
@@ -931,9 +606,8 @@ StatusOr<engine::QueryResult> ShardScheduler::ExecuteDistributed(
         std::to_string(serving.size()) + " shard(s) cancelled");
   }
 
-  // --- merge, shard-major over the serving shards. The value merge is
-  // identical to the single-host path (ship modes are timing aliases);
-  // what differs is the coordinator's clock, charged below. ---
+  // --- merge, shard-major over the serving shards. Ship modes are timing
+  // aliases, so the value merge is the same in both modes. ---
   engine::QueryResult merged;
   std::vector<double> flat(slots, 0);
   std::vector<bool> flat_any(slots, false);
@@ -970,52 +644,63 @@ StatusOr<engine::QueryResult> ShardScheduler::ExecuteDistributed(
   }
   merged.partial = serving.size() < ids.size();
 
-  // --- coordinator ingest, serial and shard-major: per shard, the wire
-  // occupancy of its transfer plus the handoff, then the per-unit
-  // deserialize + merge work — rows replay every shipped row into the
-  // partial aggregates; aggs merge per shipped value.
-  double coordinator_cycles = 0;
-  for (const size_t i : serving) {
-    const ShardRun& run = runs[i];
-    const engine::QueryResult& r = run.result;
-    coordinator_cycles +=
-        run.transfer.wire_cycles + req.cost.shard_merge_task_cycles;
-    if (run.ship == net::ShipMode::kRows) {
-      coordinator_cycles +=
-          static_cast<double>(r.rows_matched) *
-          (req.cost.net_serialize_row_cycles +
-           static_cast<double>(slots) * req.cost.agg_update_cycles);
-    } else {
-      const uint64_t values =
-          (req.spec->group_by.empty()
-               ? (slots > 0 && r.rows_matched > 0 ? 1 : 0)
-               : r.groups.size()) *
-          slots;
-      coordinator_cycles +=
-          static_cast<double>(values) *
-          (req.cost.net_serialize_agg_cycles + req.cost.agg_update_cycles);
+  // --- coordinator clock. Single host: one task handoff per serving
+  // shard plus one aggregate update per partial slot of every shard
+  // (matched or not) and of every group it produced. Cluster: ingest is
+  // serial and shard-major — per shard, the wire occupancy of its
+  // transfer plus the handoff, then the per-unit deserialize + merge
+  // work: rows replay every shipped row into the partial aggregates,
+  // aggs merge per shipped value.
+  double merge_cycles = 0;
+  if (cluster) {
+    for (const size_t i : serving) {
+      const ShardRun& run = runs[i];
+      merge_cycles +=
+          run.transfer.wire_cycles + req.cost.shard_merge_task_cycles;
+      if (run.ship == net::ShipMode::kRows) {
+        merge_cycles +=
+            static_cast<double>(run.result.rows_matched) *
+            (req.cost.net_serialize_row_cycles +
+             static_cast<double>(slots) * req.cost.agg_update_cycles);
+      } else {
+        merge_cycles +=
+            static_cast<double>(ShippedGroups(*req.spec, slots, run.result) *
+                                slots) *
+            (req.cost.net_serialize_agg_cycles + req.cost.agg_update_cycles);
+      }
     }
+  } else {
+    uint64_t merge_units = 0;
+    for (const size_t i : serving) {
+      merge_units += (1 + runs[i].result.groups.size()) * slots;
+    }
+    merge_cycles =
+        static_cast<double>(serving.size()) * req.cost.shard_merge_task_cycles +
+        static_cast<double>(merge_units) * req.cost.agg_update_cycles;
   }
-  merged.sim_cycles =
-      parallel_cycles + static_cast<uint64_t>(coordinator_cycles);
+  merged.sim_cycles = parallel_cycles + static_cast<uint64_t>(merge_cycles);
 
   if (ctx.profile != nullptr) {
     fill_profile_ops();
     obs::QueryProfile* prof = ctx.profile;
     obs::OpStats merge_op;
     std::ostringstream name;
-    name << "NetMerge[nodes=" << topology_.nodes() << "]";
+    name << (cluster ? "NetMerge[nodes=" : "Merge[workers=") << lanes << "]";
     merge_op.name = name.str();
     merge_op.rows_in = merged.rows_matched;
     merge_op.rows_out =
         merged.groups.empty() ? merged.rows_matched : merged.groups.size();
-    merge_op.cpu_cycles = coordinator_cycles;
+    merge_op.cpu_cycles = merge_cycles;
     prof->ops.push_back(std::move(merge_op));
     prof->total_cycles = static_cast<double>(merged.sim_cycles);
   }
 
   span.AddArg("rows_matched", merged.rows_matched);
-  span.AddArg("net_bytes", query_net_bytes);
+  if (cluster) {
+    span.AddArg("net_bytes", query_net_bytes);
+  } else {
+    span.AddArg("sim_workers", lanes);
+  }
   return merged;
 }
 

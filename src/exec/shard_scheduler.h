@@ -21,12 +21,21 @@
 
 namespace relfab::exec {
 
-class NodeGroup;
+/// Partial-aggregate slots the shard fan-out computes per shard (and per
+/// group) for `spec`: one per aggregate, AVG carried as its SUM, plus
+/// one hidden COUNT shared by every AVG as their denominator. The
+/// scheduler decomposes by it; the planner prices shipped partials by it.
+size_t PartialSlotCount(const engine::QuerySpec& spec);
 
-/// Parallel shard fan-out: runs one scan per surviving shard on a pool
-/// of host worker threads and merges the partial results shard-major.
+/// The shard fan-out: runs one scan per serving shard on a pool of host
+/// worker threads and merges the partial results shard-major. One path
+/// serves both a single host and a configured cluster (ConfigureCluster,
+/// docs/scaling.md "Distributed fabric"). Only the steps that exist on a
+/// network check the topology: node liveness and "node.kill", ship-mode
+/// pricing, the net.* counters and digests, and the node=/ship= profile
+/// annotations.
 ///
-/// Determinism contract (the property shard_exec_test pins): answers
+/// Determinism contract (shard_exec_test and net_test pin it): answers
 /// AND simulated cycles are bit-identical at any host thread count.
 /// Three mechanisms deliver it:
 ///
@@ -37,16 +46,31 @@ class NodeGroup;
 ///     task: the rig is returned to the cold, freshly-booted state —
 ///     including the simulated allocator — so a shard's cycles are a
 ///     pure function of (sim params, shard data, query), independent of
-///     which rig ran it or what that rig ran before.
+///     which rig ran it or what that rig ran before. That is also why a
+///     cluster's nodes need no rigs of their own.
 ///  3. Shard-major merge: partials are combined in shard-id order after
 ///     all tasks joined, never in completion order.
 ///
-/// Cycle semantics: the surviving shards are dealt shard-major onto P
-/// *simulated* workers (P = QueryOptions::max_threads, or one per shard
-/// when <= 0); each simulated worker's time is the sum of its shards'
-/// cycles; the fan-out costs max-over-workers (they run in parallel)
-/// plus the host-side merge of the partials. Host threads only change
+/// Cycle semantics: each serving shard is charged to one *clock lane*.
+/// On a single host the lanes are P simulated workers (P =
+/// QueryOptions::max_threads, or one per shard when <= 0) and the k-th
+/// serving shard goes to worker k % P. Under a cluster the lane is the
+/// node hosting the shard's serving replica (net::Topology placement),
+/// so shards run where their data lives. A lane's clock is the sum of
+/// its shards' cycles; lanes run in parallel, so the fan-out costs the
+/// busiest lane plus the coordinator's merge. Host threads only change
 /// wall time.
+///
+/// The merge charge differs by mode. On a single host it is one task
+/// handoff per shard plus one aggregate update per partial slot of
+/// every shard and of every group it produced. Under a cluster each
+/// shard's partial crosses the simulated network priced by
+/// net::NetworkModel: ship=rows sends the matching rows' referenced
+/// columns, ship=aggs sends the partial aggregates. Both carry the
+/// identical partial result, so the mode is a timing alias and answers
+/// never change. The node pays serialization on its lane; the
+/// coordinator ingests transfers serially (shard-major), paying wire,
+/// handoff, deserialize and merge cycles.
 ///
 /// Per-shard fault isolation: each shard task gets a private
 /// FaultInjector seeded from (plan seed, shard id), so a fault hits the
@@ -58,31 +82,17 @@ class NodeGroup;
 /// Failure domains (docs/robustness.md): before fan-out the scheduler
 /// selects, per shard, the lowest-index live replica — consulting
 /// ctx.health for liveness and drawing one "shard.kill" opportunity per
-/// selection attempt — and charges CostModel::shard_failover_cycles per
-/// dead replica skipped. A shard with no live replica fails the query
-/// with kUnavailable (or is skipped with QueryResult::partial under
-/// QueryOptions::allow_partial). All health access happens in the
-/// single-threaded pre-fan-out / post-join sections, so death schedules
-/// and failovers are bit-identical at any host thread count. With
-/// QueryOptions::deadline_cycles set, shards whose simulated completion
-/// lands past the deadline are cancelled and the query fails with
-/// kDeadlineExceeded, EXPLAIN ANALYZE profile intact.
-///
-/// Distributed mode (docs/scaling.md "Distributed fabric"): after
-/// ConfigureCluster the anonymous simulated workers become *named
-/// simulated nodes*, each with its own NodeGroup rig. Shards run on the
-/// node hosting their serving replica (net::Topology placement); a node's
-/// shards run sequentially on its clock and nodes run in parallel, so the
-/// fan-out width is the node count. Each shard's partial crosses the
-/// simulated network priced by net::NetworkModel — ship=rows sends the
-/// matching rows' referenced columns, ship=aggs sends merged partial
-/// aggregates; both compute the identical partial spec, so the mode is a
-/// timing alias and answers never change. The coordinator ingests
-/// transfers serially (shard-major) and pays wire + deserialize + merge
-/// cycles on top of the slowest node. Node death ("node.kill") fails a
-/// replica over exactly like replica death; one host worker drives one
-/// node, preserving bit-identical answers AND cycles at any host thread
-/// count.
+/// selection attempt, preceded under a cluster by one "node.kill" draw
+/// on the replica's node — and charges CostModel::shard_failover_cycles
+/// per dead replica or dead node skipped. A shard with no live replica
+/// fails the query with kUnavailable (or is skipped with
+/// QueryResult::partial under QueryOptions::allow_partial). All health
+/// access happens in the single-threaded pre-fan-out / post-join
+/// sections, so death schedules and failovers are bit-identical at any
+/// host thread count. With QueryOptions::deadline_cycles set, shards
+/// whose completion on their lane's clock lands past the deadline are
+/// cancelled and the query fails with kDeadlineExceeded, EXPLAIN
+/// ANALYZE profile intact.
 class ShardScheduler {
  public:
   // Both out of line: Rig is incomplete here.
@@ -97,7 +107,7 @@ class ShardScheduler {
   struct Request {
     const shard::ShardedTable* table = nullptr;
     /// Catalog name of the table — the failure-domain component names
-    /// ("<table>.shard<i>.r<j>") are derived from it.
+    /// (net::Topology::ReplicaName) are derived from it.
     std::string table_name;
     const engine::QuerySpec* spec = nullptr;
     /// Per-shard scan path; sharded plans support kRow and
@@ -106,16 +116,16 @@ class ShardScheduler {
     /// Surviving shards after planner pruning, ascending.
     const std::vector<uint32_t>* shard_ids = nullptr;
     /// Per-shard ship modes, parallel to shard_ids (planner's
-    /// rows-vs-aggs choice). Null or short = kAggs. Only consulted in
-    /// distributed mode.
+    /// rows-vs-aggs choice; empty without a cluster). Null or short =
+    /// kAggs. Only priced under a cluster.
     const std::vector<net::ShipMode>* ship = nullptr;
     engine::CostModel cost;
   };
 
   /// Runs the fan-out and merges. Uses ctx.options.max_threads for the
-  /// simulated width, ctx.injector's plan for per-shard fault streams,
-  /// ctx.profile for EXPLAIN ANALYZE per-shard meters and ctx.tracer
-  /// for the "query.shard_fanout" span.
+  /// single-host simulated width, ctx.injector's plan for per-shard fault
+  /// streams, ctx.profile for EXPLAIN ANALYZE per-shard meters and
+  /// ctx.tracer for the "query.shard_fanout" span.
   StatusOr<engine::QueryResult> Execute(const Request& req,
                                         const ExecContext& ctx);
 
@@ -124,15 +134,11 @@ class ShardScheduler {
   void set_host_threads(int n) { host_threads_ = n; }
   int host_threads() const { return host_threads_; }
 
-  /// Switches the scheduler into distributed mode: builds one NodeGroup
-  /// rig per node of `topology` and routes every subsequent fan-out
-  /// through the node/network path. A disabled topology returns to the
-  /// single-host path. Reconfiguring rebuilds the rigs cold.
+  /// Puts later fan-outs on `topology`'s cluster: each shard is charged
+  /// to its serving node's lane and its partial is priced as a network
+  /// transfer. A disabled topology returns to single-host execution.
   void ConfigureCluster(const net::Topology& topology);
   const net::Topology& topology() const { return topology_; }
-
-  /// The per-node simulation rigs; nullptr outside distributed mode.
-  NodeGroup* node_group() { return nodes_.get(); }
 
   // --- lifetime counters (across all Execute calls) ---
   uint64_t queries() const { return queries_; }
@@ -147,7 +153,7 @@ class ShardScheduler {
   /// Shards cancelled by a cycle-domain deadline.
   uint64_t shards_cancelled() const { return shards_cancelled_; }
 
-  // --- network counters (distributed mode; zero single-host) ---
+  // --- network counters (cluster only; zero single-host) ---
   /// Payload bytes shipped node → coordinator (lifetime sum).
   uint64_t net_bytes() const { return net_bytes_; }
   uint64_t net_messages() const { return net_messages_; }
@@ -157,9 +163,9 @@ class ShardScheduler {
   uint64_t shards_ship_aggs() const { return shards_ship_aggs_; }
 
   /// Exports "shard.*" counters and the per-shard cycle distribution
-  /// ("shard.cycles"); in distributed mode also "net.*" counters
-  /// including per-node "net.node<k>.bytes". Idempotent (Set/assign,
-  /// not Inc/Merge).
+  /// ("shard.cycles"); under a cluster also "net.*" counters including
+  /// per-node "net.node<k>.bytes". Idempotent (Set/assign, not
+  /// Inc/Merge).
   void ExportTo(obs::Registry* registry) const;
 
  private:
@@ -170,20 +176,14 @@ class ShardScheduler {
   struct ShardRun;
 
   Rig& RigForSlot(int slot);
-  /// One shard scan on an explicit rig (worker-private or per-node).
+  /// One shard scan on the calling worker's rig.
   void RunShardTask(const Request& req, const engine::QuerySpec& partial_spec,
-                    const ExecContext& ctx, uint32_t shard_id,
-                    sim::MemorySystem* memory, relmem::RmEngine* rm,
+                    const ExecContext& ctx, uint32_t shard_id, Rig* rig,
                     ShardRun* out);
-
-  /// The node/network fan-out path (topology_ enabled).
-  StatusOr<engine::QueryResult> ExecuteDistributed(const Request& req,
-                                                   const ExecContext& ctx);
 
   sim::SimParams sim_params_;
   int host_threads_ = 0;
   net::Topology topology_;
-  std::unique_ptr<NodeGroup> nodes_;
 
   Mutex rig_mu_;
   /// The slot vector is guarded; each built Rig itself is worker-private

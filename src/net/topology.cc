@@ -36,6 +36,12 @@ std::string Topology::NodeName(uint32_t node) {
   return "node" + std::to_string(node);
 }
 
+std::string Topology::ReplicaName(const std::string& table, uint32_t shard,
+                                  uint32_t replica) {
+  return table + ".shard" + std::to_string(shard) + ".r" +
+         std::to_string(replica);
+}
+
 uint32_t Topology::NodeFor(uint32_t shard, uint32_t replica,
                            uint32_t num_shards, Placement placement) const {
   // relfab-lint: allow(data-check) wiring-time invariant: callers route here only when a cluster is configured

@@ -46,9 +46,10 @@ inline StatusOr<Placement> PlacementFromString(std::string_view name) {
 ///   fabric.ConfigureCluster({.nodes = 4});
 ///   fabric.ConfigureCluster({.nodes = 8, .network = {.mtu_bytes = 1500}});
 struct ClusterConfig {
-  /// Simulated nodes (>= 1). Each gets its own MemorySystem/RmEngine
-  /// rig (exec::NodeGroup); the shard scheduler deals shards to nodes
-  /// and prices coordinator merges as network transfers.
+  /// Simulated nodes (>= 1). Each node is one clock lane of the shard
+  /// fan-out: the scheduler charges a shard's scan to the node hosting
+  /// its serving replica and prices coordinator merges as network
+  /// transfers.
   uint32_t nodes = 1;
   /// Inter-node link model; defaults to sim::NetworkParams defaults
   /// (the same values a default-constructed SimParams carries).
@@ -76,6 +77,10 @@ class Topology {
 
   /// Failure-domain component name of a node ("node0", "node1", ...).
   static std::string NodeName(uint32_t node);
+  /// Failure-domain component name of replica `replica` of shard `shard`
+  /// of `table` ("<table>.shard<i>.r<j>"), with or without a cluster.
+  static std::string ReplicaName(const std::string& table, uint32_t shard,
+                                 uint32_t replica);
 
   /// Node hosting replica `replica` of shard `shard` in a table of
   /// `num_shards` shards under `placement`.

@@ -77,7 +77,7 @@ StatusOr<engine::QueryResult> Executor::Execute(
     req.spec = &plan.spec;
     req.backend = backend;
     req.shard_ids = &plan.shards.shard_ids;
-    req.ship = plan.shards.distributed ? &plan.shards.ship : nullptr;
+    req.ship = &plan.shards.ship;
     req.cost = cost_;
     return ctx.scheduler->Execute(req, ctx);
   }
