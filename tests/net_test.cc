@@ -73,6 +73,38 @@ std::unique_ptr<Fabric> MakeFabric(uint32_t nodes, uint32_t replicas = 2) {
   return fabric;
 }
 
+/// Runs `sql` with telemetry on, on a fresh fabric from `make`, and
+/// returns the statement's query-log record. The statement runs twice —
+/// EXPLAIN ANALYZE off, then on — because the record must not depend on
+/// ANALYZE: both runs must log byte-identical records.
+template <typename MakeFn>
+obs::QueryLogRecord LoggedRecord(MakeFn make, const std::string& sql,
+                                 Fabric::QueryOptions options) {
+  std::string first;
+  obs::QueryLogRecord record;
+  for (const bool analyze : {false, true}) {
+    SCOPED_TRACE(analyze ? "analyze on" : "analyze off");
+    std::unique_ptr<Fabric> fabric = make();
+    fabric->EnableTelemetry();
+    options.analyze = analyze;
+    const auto run = fabric->ExecuteSql(sql, options);
+    auto recent = fabric->telemetry()->query_log().Recent();
+    EXPECT_EQ(recent.size(), 1u);
+    if (recent.empty()) return record;
+    record = *recent.back();
+    EXPECT_EQ(record.status_code,
+              StatusCodeToString(run.ok() ? StatusCode::kOk
+                                          : run.status().code()));
+    const std::string json = record.ToJson().Dump();
+    if (first.empty()) {
+      first = json;
+    } else {
+      EXPECT_EQ(json, first);
+    }
+  }
+  return record;
+}
+
 void ExpectSameAnswer(const engine::QueryResult& got,
                       const engine::QueryResult& want) {
   EXPECT_EQ(got.rows_matched, want.rows_matched);
@@ -461,6 +493,7 @@ TEST(NetExecTest, DeadlineCancelsClusterFanOutDeterministically) {
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   const Fabric::QueryOptions tight = {
       .analyze = true, .deadline_cycles = full->result.sim_cycles / 2};
+  EXPECT_EQ(tight.deadline_cycles, 25047u);
 
   std::string want_status;
   std::string want_table;
@@ -501,6 +534,20 @@ TEST(NetExecTest, DeadlineCancelsClusterFanOutDeterministically) {
       EXPECT_EQ(profile.ToTable(), want_table);
     }
   }
+
+  // The failed statement's query-log record keeps what the shards that
+  // completed shipped; with no plan to read, the shard counts stay zero.
+  const obs::QueryLogRecord logged =
+      LoggedRecord([] { return MakeFabric(/*nodes=*/3); }, sql, tight);
+  EXPECT_EQ(logged.status_code, "deadline_exceeded");
+  EXPECT_FALSE(logged.error.empty());
+  EXPECT_EQ(logged.cycles, 0u);
+  EXPECT_EQ(logged.net_bytes, 48u);
+  EXPECT_EQ(logged.shards_ship_aggs, 3u);
+  EXPECT_EQ(logged.shards_ship_rows, 0u);
+  EXPECT_EQ(logged.shards_failed_over, 0u);
+  EXPECT_EQ(logged.shards_total, 0u);
+  EXPECT_EQ(logged.shards_scanned, 0u);
 }
 
 TEST(NetExecTest, ProfileAndCountersCarryTheNetworkStory) {
@@ -553,6 +600,23 @@ TEST(NetExecTest, QueryLogRecordsNetFieldsWithAValidSchema) {
     auto status = obs::QueryLog::ValidateRecord(rec->ToJson());
     EXPECT_TRUE(status.ok()) << status.ToString();
   }
+
+  // A dead primary replica: the log carries the failover next to the
+  // network story, with or without ANALYZE.
+  const obs::QueryLogRecord failed_over = LoggedRecord(
+      [] {
+        auto f = MakeFabric(/*nodes=*/3);
+        f->health().MarkDead("m.shard1.r0", "test kill", 0);
+        return f;
+      },
+      "SELECT COUNT(*), SUM(v) FROM m", {});
+  EXPECT_EQ(failed_over.status_code, "ok");
+  EXPECT_EQ(failed_over.shards_failed_over, 1u);
+  EXPECT_EQ(failed_over.net_bytes, 64u);
+  EXPECT_EQ(failed_over.shards_ship_aggs, 4u);
+  EXPECT_EQ(failed_over.shards_ship_rows, 0u);
+  EXPECT_EQ(failed_over.shards_scanned, 4u);
+  EXPECT_EQ(failed_over.cycles, 52594u);
 }
 
 }  // namespace

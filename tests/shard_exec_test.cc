@@ -68,6 +68,40 @@ std::unique_ptr<Fabric> MakeFabric(uint32_t replicas = 1) {
   return fabric;
 }
 
+/// Runs `sql` with telemetry on, on a fresh fabric with `replicas`
+/// replicas per shard and m.shard1.r0 dead, and returns the statement's
+/// query-log record. The statement runs twice — EXPLAIN ANALYZE off,
+/// then on — because the record must not depend on ANALYZE: both runs
+/// must log byte-identical records.
+obs::QueryLogRecord RecordWithShard1Dead(uint32_t replicas,
+                                         const std::string& sql,
+                                         Fabric::QueryOptions options) {
+  std::string first;
+  obs::QueryLogRecord record;
+  for (const bool analyze : {false, true}) {
+    SCOPED_TRACE(analyze ? "analyze on" : "analyze off");
+    auto fabric = MakeFabric(replicas);
+    fabric->health().MarkDead("m.shard1.r0", "test kill", 0);
+    fabric->EnableTelemetry();
+    options.analyze = analyze;
+    const auto run = fabric->ExecuteSql(sql, options);
+    auto recent = fabric->telemetry()->query_log().Recent();
+    EXPECT_EQ(recent.size(), 1u);
+    if (recent.empty()) return record;
+    record = *recent.back();
+    EXPECT_EQ(record.status_code,
+              StatusCodeToString(run.ok() ? StatusCode::kOk
+                                          : run.status().code()));
+    const std::string json = record.ToJson().Dump();
+    if (first.empty()) {
+      first = json;
+    } else {
+      EXPECT_EQ(json, first);
+    }
+  }
+  return record;
+}
+
 class ShardExecTest : public ::testing::Test {
  protected:
   ShardExecTest() { fabric_ = MakeFabric(); }
@@ -494,6 +528,17 @@ TEST(ShardFailoverTest, DeadReplicaFailsOverWithIdenticalAnswer) {
   obs::Registry& registry = fabric->CollectMetrics();
   EXPECT_EQ(registry.counter("shard.failed_over")->value(), 1u);
   EXPECT_EQ(registry.gauge("health.dead")->value(), 1.0);
+
+  // The query log carries the failover, with or without ANALYZE.
+  const obs::QueryLogRecord logged = RecordWithShard1Dead(
+      /*replicas=*/2, "SELECT COUNT(*), SUM(v) FROM m", {});
+  EXPECT_EQ(logged.status_code, "ok");
+  EXPECT_EQ(logged.shards_failed_over, 1u);
+  EXPECT_EQ(logged.cycles, 21501u);
+  EXPECT_EQ(logged.shards_total, 4u);
+  EXPECT_EQ(logged.shards_scanned, 4u);
+  EXPECT_EQ(logged.net_bytes, 0u);
+  EXPECT_EQ(logged.shards_ship_rows + logged.shards_ship_aggs, 0u);
 }
 
 TEST(ShardFailoverTest, NoLiveReplicaIsStructuredUnavailable) {
@@ -518,6 +563,22 @@ TEST(ShardFailoverTest, NoLiveReplicaIsStructuredUnavailable) {
   ASSERT_TRUE(partial.ok()) << partial.status().ToString();
   EXPECT_TRUE(partial->result.partial);
   EXPECT_EQ(partial->result.aggregates[0], 3000.0);  // 4000 minus shard 1
+
+  // The profile counts the shard that actually ran; the query log keeps
+  // the planner's view (shards planned, not pruned), so the two differ
+  // by the unavailable shard.
+  auto analyzed = fabric->ExecuteSql(
+      "SELECT COUNT(*) FROM m", {.analyze = true, .allow_partial = true});
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_EQ(analyzed->profile.shards_scanned, 3u);
+  EXPECT_EQ(analyzed->profile.shards_unavailable, 1u);
+  const obs::QueryLogRecord logged = RecordWithShard1Dead(
+      /*replicas=*/1, "SELECT COUNT(*) FROM m", {.allow_partial = true});
+  EXPECT_EQ(logged.status_code, "ok");
+  EXPECT_EQ(logged.shards_total, 4u);
+  EXPECT_EQ(logged.shards_scanned, 4u);
+  EXPECT_EQ(logged.shards_pruned, 0u);
+  EXPECT_EQ(logged.shards_failed_over, 0u);
 }
 
 TEST(ShardFailoverTest, KillAtPOneKillsEveryReplicaAttempted) {
