@@ -206,7 +206,7 @@ uint64_t RunSession(int session, const ChaosParams& params,
     out->failovers += r->shards_failed_over;
     // "Degraded" = answered, but only by failing over to a replica or
     // falling back to a host path (a subset of `answered`).
-    if (r->status == "ok" && (r->degraded || r->shards_failed_over > 0)) {
+    if (r->ok && (r->degraded || r->shards_failed_over > 0)) {
       ++out->degraded;
     }
   }

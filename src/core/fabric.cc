@@ -251,90 +251,79 @@ StatusOr<std::vector<relmem::EphemeralView>> Fabric::ConfigureShardRange(
   return table->ConfigureRange(&rm_, geometry, lo, hi);
 }
 
-StatusOr<Fabric::SqlResult> Fabric::ExecuteSqlInternal(
-    std::string_view sql, const QueryOptions& options) {
-  RELFAB_ASSIGN_OR_RETURN(query::ParsedQuery parsed, parser_.Parse(sql));
-  RELFAB_ASSIGN_OR_RETURN(query::Plan plan,
-                          planner_.MakePlan(parsed, &options));
-  SqlResult out;
-  exec::ExecContext ctx;
-  ctx.tracer = &tracer_;
-  ctx.injector = injector_.get();
-  ctx.profile = options.analyze ? &out.profile : nullptr;
-  ctx.scheduler = &scheduler_;
-  ctx.health = &health_;
-  if (telemetry_ != nullptr) {
-    ctx.digests = &telemetry_->digests();
-    ctx.query_log = &telemetry_->query_log();
-    ctx.recorder = &telemetry_->flight_recorder();
-  }
-  ctx.options = options;
-  RELFAB_ASSIGN_OR_RETURN(out.result, executor_.Execute(plan, ctx));
-  out.plan = std::move(plan);
-  return out;
-}
-
 StatusOr<Fabric::SqlResult> Fabric::ExecuteSql(std::string_view sql,
                                                const QueryOptions& options) {
-  if (telemetry_ == nullptr) return ExecuteSqlInternal(sql, options);
+  // Fault counters before the statement, so the log record carries
+  // per-statement deltas.
+  const faults::FaultInjector* inj = injector_.get();
+  const uint64_t injected_before = inj != nullptr ? inj->total_injected() : 0;
+  const uint64_t retries_before = inj != nullptr ? inj->total_retries() : 0;
+  const uint64_t fallbacks_before = inj != nullptr ? inj->total_fallbacks() : 0;
 
-  // Snapshot the fault counters so the log record carries per-statement
-  // deltas. Everything below is host-side bookkeeping on results the
-  // simulation already produced — with telemetry enabled the simulated
-  // cycle clocks advance exactly as they do with it disabled.
-  const uint64_t injected_before =
-      injector_ != nullptr ? injector_->total_injected() : 0;
-  const uint64_t retries_before =
-      injector_ != nullptr ? injector_->total_retries() : 0;
-  const uint64_t fallbacks_before =
-      injector_ != nullptr ? injector_->total_fallbacks() : 0;
-  const uint64_t failovers_before = scheduler_.shards_failed_over();
-  const uint64_t net_bytes_before = scheduler_.net_bytes();
-  const uint64_t ship_rows_before = scheduler_.shards_ship_rows();
-  const uint64_t ship_aggs_before = scheduler_.shards_ship_aggs();
-
-  StatusOr<SqlResult> run = ExecuteSqlInternal(sql, options);
-
-  obs::WorkloadTelemetry::Statement st;
-  st.sql = std::string(sql);
-  st.status_code = std::string(StatusCodeToString(
-      run.ok() ? StatusCode::kOk : run.status().code()));
-  st.shards_failed_over =
-      static_cast<uint32_t>(scheduler_.shards_failed_over() - failovers_before);
-  st.net_bytes = scheduler_.net_bytes() - net_bytes_before;
-  st.shards_ship_rows =
-      static_cast<uint32_t>(scheduler_.shards_ship_rows() - ship_rows_before);
-  st.shards_ship_aggs =
-      static_cast<uint32_t>(scheduler_.shards_ship_aggs() - ship_aggs_before);
-  if (run.ok()) {
-    st.table = run->plan.table;
-    st.backend = std::string(exec::BackendToString(run->plan.backend));
-    st.cycles = run->result.sim_cycles;
-    st.rows_scanned = run->result.rows_scanned;
-    st.rows_matched = run->result.rows_matched;
-    if (run->plan.shards.enabled) {
-      st.shards_total = run->plan.shards.shards_total;
-      st.shards_scanned =
-          static_cast<uint32_t>(run->plan.shards.shard_ids.size());
-      st.shards_pruned = st.shards_total - st.shards_scanned;
+  SqlResult out;
+  StatusOr<query::Plan> plan = ExplainSql(sql, options);
+  Status status = plan.status();
+  if (plan.ok()) {
+    obs::WorkloadTelemetry* t = telemetry_.get();
+    const exec::ExecContext ctx = {
+        .tracer = &tracer_,
+        .injector = injector_.get(),
+        .profile = &out.profile,
+        .scheduler = &scheduler_,
+        .digests = t != nullptr ? &t->digests() : nullptr,
+        .recorder = t != nullptr ? &t->flight_recorder() : nullptr,
+        .health = &health_,
+        .options = options};
+    StatusOr<engine::QueryResult> result = executor_.Execute(*plan, ctx);
+    status = result.status();
+    if (result.ok()) out.result = std::move(*result);
+    out.plan = std::move(*plan);
+  }
+  if (telemetry_ != nullptr) {
+    // The statement's record. Everything here is host-side bookkeeping
+    // on results the simulation already produced — with telemetry
+    // enabled the simulated cycle clocks advance exactly as they do with
+    // it disabled.
+    obs::QueryLogRecord record;
+    record.sql = std::string(sql);
+    record.ok = status.ok();
+    record.status_code = std::string(StatusCodeToString(status.code()));
+    if (!status.ok()) {
+      record.error = status.ToString();
+    } else {
+      record.table = out.plan.table;
+      record.backend = std::string(exec::BackendToString(out.plan.backend));
+      record.cycles = out.result.sim_cycles;
+      record.rows_scanned = out.result.rows_scanned;
+      record.rows_matched = out.result.rows_matched;
+      if (out.plan.shards.enabled) {
+        // The planner's view: shards planned, not the ones that answered.
+        record.shards_total = out.plan.shards.shards_total;
+        record.shards_scanned =
+            static_cast<uint32_t>(out.plan.shards.shard_ids.size());
+        record.shards_pruned = record.shards_total - record.shards_scanned;
+      }
     }
-  } else {
-    st.ok = false;
-    st.error = run.status().ToString();
+    // The profile holds what the fan-out did, even when it failed.
+    record.shards_failed_over = out.profile.shards_failed_over;
+    record.net_bytes = out.profile.net_bytes;
+    record.shards_ship_rows = out.profile.shards_ship_rows;
+    record.shards_ship_aggs = out.profile.shards_ship_aggs;
+    if (inj != nullptr) {
+      record.faults_injected = inj->total_injected() - injected_before;
+      record.fault_retries = inj->total_retries() - retries_before;
+      record.fault_fallbacks = inj->total_fallbacks() - fallbacks_before;
+    }
+    if (record.fault_fallbacks > 0) {
+      record.degraded = true;
+      record.degradation = "fabric fault fallback (x" +
+                           std::to_string(record.fault_fallbacks) + ")";
+    }
+    telemetry_->RecordStatement(std::move(record));
+    telemetry_->Sample(CollectMetrics());
   }
-  if (injector_ != nullptr) {
-    st.faults_injected = injector_->total_injected() - injected_before;
-    st.fault_retries = injector_->total_retries() - retries_before;
-    st.fault_fallbacks = injector_->total_fallbacks() - fallbacks_before;
-  }
-  if (st.fault_fallbacks > 0) {
-    st.degraded = true;
-    st.degradation = "fabric fault fallback (x" +
-                     std::to_string(st.fault_fallbacks) + ")";
-  }
-  telemetry_->RecordStatement(st);
-  telemetry_->Sample(CollectMetrics());
-  return run;
+  if (!status.ok()) return status;
+  return out;
 }
 
 StatusOr<query::Plan> Fabric::ExplainSql(std::string_view sql,
@@ -418,15 +407,15 @@ obs::Registry& Fabric::CollectMetrics() {
 void Fabric::EnableTracing(bool enabled) { tracer_.set_enabled(enabled); }
 
 obs::WorkloadTelemetry& Fabric::EnableTelemetry(obs::TelemetryConfig config) {
-  if (config.tracked.empty()) {
-    // Cumulative (scheduler/injector-lifetime) series whose window
-    // deltas read as rates; per-statement sim.* counters reset between
-    // statements and are better read from the query log instead.
-    config.tracked = {"shard.scanned",     "shard.pruned",
-                      "shard.degraded",    "shard.failed_over",
-                      "health.dead",       "faults.fallbacks.total"};
-  }
   telemetry_ = std::make_unique<obs::WorkloadTelemetry>(std::move(config));
+  // Cumulative (scheduler/injector-lifetime) series whose window deltas
+  // read as rates; per-statement sim.* counters reset between statements
+  // and are better read from the query log instead.
+  for (const char* series :
+       {"shard.scanned", "shard.pruned", "shard.degraded",
+        "shard.failed_over", "health.dead", "faults.fallbacks.total"}) {
+    telemetry_->timeseries().Track(series);
+  }
   tracer_.set_flight_recorder(&telemetry_->flight_recorder());
   // Health transitions land in the flight recorder as "health" markers.
   health_.set_recorder(&telemetry_->flight_recorder());

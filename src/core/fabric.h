@@ -163,8 +163,10 @@ class Fabric {
   struct SqlResult {
     query::Plan plan;
     engine::QueryResult result;
-    /// Filled when QueryOptions::analyze was set (EXPLAIN ANALYZE);
-    /// otherwise default-constructed.
+    /// The statement's profile: backend, table, total cycles, shard and
+    /// net counts and the degradation note on every statement; the
+    /// per-operator rows only under QueryOptions::analyze (EXPLAIN
+    /// ANALYZE).
     obs::QueryProfile profile;
   };
 
@@ -172,7 +174,9 @@ class Fabric {
   /// per-statement `options`. The single SQL entry point: EXPLAIN
   /// ANALYZE is options.analyze, backend forcing is
   /// options.forced_backend, and the simulated shard fan-out width is
-  /// options.max_threads.
+  /// options.max_threads. With telemetry enabled, logs one
+  /// obs::QueryLogRecord per statement, failed ones included, built from
+  /// the plan, the result, the status and the statement's profile.
   StatusOr<SqlResult> ExecuteSql(std::string_view sql,
                                  const QueryOptions& options);
 
@@ -188,17 +192,16 @@ class Fabric {
   // --- cluster / distributed fabric ---
 
   /// Switches the fabric into distributed mode (docs/scaling.md
-  /// "Distributed fabric"): `config.nodes` simulated nodes, each with
-  /// its own memory-system/RM rig, connected by a network priced by
-  /// `config.network`. Sharded-table fan-outs then run shards on the
-  /// node hosting their serving replica and ship each shard's partial
+  /// "Distributed fabric"): `config.nodes` simulated nodes, each one
+  /// clock lane of the shard fan-out, connected by a network priced by
+  /// `config.network`. Sharded-table fan-outs then charge each shard to
+  /// the node hosting its serving replica and ship each shard's partial
   /// across the modeled network — as materialized rows or partial
   /// aggregates, whichever the planner prices cheaper (ship=rows|aggs
-  /// in EXPLAIN). The one cluster entry point: topology, network
-  /// parameters and node rigs are all configured here. Reconfiguring
-  /// rebuilds the node rigs cold. Even a 1-node cluster keeps the
-  /// distributed semantics — its shard partials still pay the modeled
-  /// network. Structured kInvalidArgument on a malformed config.
+  /// in EXPLAIN). The one cluster entry point: topology and network
+  /// parameters are both configured here. Even a 1-node cluster keeps
+  /// the distributed semantics — its shard partials still pay the
+  /// modeled network. Structured kInvalidArgument on a malformed config.
   Status ConfigureCluster(const net::ClusterConfig& config);
 
   /// The active cluster topology; disabled (nodes() == 0) until
@@ -236,8 +239,8 @@ class Fabric {
   /// time-series, latency digests, structured query log and flight
   /// recorder, all fed from ExecuteSql. Attaches the flight recorder to
   /// the tracer so recent spans are captured even with full tracing
-  /// off. With an empty config.tracked a default set of shard/fault
-  /// series is sampled into the time-series.
+  /// off, and samples a fixed set of shard/health/fault series into the
+  /// time-series.
   obs::WorkloadTelemetry& EnableTelemetry(obs::TelemetryConfig config = {});
 
   /// Destroys the bundle and detaches the flight recorder — the
@@ -278,9 +281,6 @@ class Fabric {
   exec::ShardScheduler& shard_scheduler() { return scheduler_; }
 
  private:
-  StatusOr<SqlResult> ExecuteSqlInternal(std::string_view sql,
-                                         const QueryOptions& options);
-
   sim::MemorySystem memory_;
   relmem::RmEngine rm_;
   engine::CostModel cost_model_;

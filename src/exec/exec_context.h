@@ -31,8 +31,10 @@ struct ExecContext {
   /// armed into (memory system, RM engine, ...).
   faults::FaultInjector* injector = nullptr;
 
-  /// Non-null => EXPLAIN ANALYZE: per-operator meter attribution is
-  /// collected into this profile.
+  /// The statement's profile sink. When non-null, the executor and the
+  /// shard scheduler fill its statement-level fields on every statement
+  /// (backend, table, total cycles, shard and net counts, degradation
+  /// note); per-operator rows are added only under options.analyze.
   obs::QueryProfile* profile = nullptr;
 
   /// Executes shard-fanout plans; required when the plan's table is
@@ -45,8 +47,9 @@ struct ExecContext {
   /// in shard order, so digests stay deterministic across host workers.
   obs::DigestSet* digests = nullptr;
 
-  /// Structured query log: one record per statement, appended by the
-  /// Fabric epilogue through this pointer.
+  /// Unused by src/: the Fabric appends each statement's record to the
+  /// telemetry bundle's log itself. perfbench/src/harness.cc still sets
+  /// it.
   obs::QueryLog* query_log = nullptr;
 
   /// Flight recorder for incident capture: degradations and fault hits

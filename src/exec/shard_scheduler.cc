@@ -378,12 +378,14 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
   // Failover surcharge on the shard's own clock: detecting a dead
   // replica or node (missed heartbeat) and re-dispatching is paid before
   // the surviving replica's scan starts.
+  uint32_t query_failovers = 0;
   for (const size_t i : serving) {
     runs[i].cycles += static_cast<uint64_t>(
         static_cast<double>(runs[i].failovers) *
         req.cost.shard_failover_cycles);
-    shards_failed_over_ += runs[i].failovers;
+    query_failovers += runs[i].failovers;
   }
+  shards_failed_over_ += query_failovers;
 
   // --- cluster: price each shard's transfer and charge the pack cost to
   // the producing node. Both ship modes carry the identical partial
@@ -533,12 +535,17 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
     }
   }
 
-  // --- profile ops, one per surviving shard (both exits share this) ---
-  const auto fill_profile_ops = [&]() {
+  // --- the statement's profile (both exits share this): its
+  // statement-level fields always, and under EXPLAIN ANALYZE one op per
+  // planned shard ---
+  const auto fill_profile = [&](uint64_t total_cycles) {
     obs::QueryProfile* prof = ctx.profile;
+    if (prof == nullptr) return;
+    prof->total_cycles = static_cast<double>(total_cycles);
     prof->shards_total = total;
     prof->shards_scanned = static_cast<uint32_t>(serving.size());
     prof->shards_pruned = total - static_cast<uint32_t>(ids.size());
+    prof->shards_failed_over = query_failovers;
     prof->shards_unavailable =
         static_cast<uint32_t>(ids.size() - serving.size());
     prof->shards_cancelled = static_cast<uint32_t>(cancelled_count);
@@ -547,6 +554,8 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
     prof->net_messages = query_net_messages;
     prof->shards_ship_rows = query_ship_rows;
     prof->shards_ship_aggs = query_ship_aggs;
+    if (!degraded_note.empty()) prof->fallback = degraded_note;
+    if (!ctx.options.analyze) return;
     for (size_t i = 0; i < runs.size(); ++i) {
       const ShardRun& run = runs[i];
       obs::OpStats op;
@@ -559,7 +568,6 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
         prof->ops.push_back(std::move(op));
         continue;
       }
-      prof->shards_failed_over += run.failovers;
       name << BackendToString(req.backend);
       if (run.degraded) name << "->ROW";
       if (cluster) {
@@ -581,12 +589,11 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
       op.l2_misses = run.sample.l2_misses;
       prof->ops.push_back(std::move(op));
     }
-    if (!degraded_note.empty()) prof->fallback = degraded_note;
   };
 
   if (cancelled_count > 0) {
     // Deadline expiry: the merge never runs; the profile survives with
-    // per-shard ops intact and the total clamped to the deadline.
+    // per-shard ops intact.
     if (ctx.recorder != nullptr) {
       ctx.recorder->Log("shard",
                         "deadline of " + std::to_string(deadline) +
@@ -596,10 +603,7 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
                             " shard(s) cancelled",
                         now);
     }
-    if (ctx.profile != nullptr) {
-      fill_profile_ops();
-      ctx.profile->total_cycles = static_cast<double>(deadline);
-    }
+    fill_profile(deadline);  // total clamped to the deadline
     return Status::DeadlineExceeded(
         "query exceeded deadline of " + std::to_string(deadline) +
         " cycles: " + std::to_string(cancelled_count) + " of " +
@@ -680,9 +684,8 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
   }
   merged.sim_cycles = parallel_cycles + static_cast<uint64_t>(merge_cycles);
 
-  if (ctx.profile != nullptr) {
-    fill_profile_ops();
-    obs::QueryProfile* prof = ctx.profile;
+  fill_profile(merged.sim_cycles);
+  if (ctx.profile != nullptr && ctx.options.analyze) {
     obs::OpStats merge_op;
     std::ostringstream name;
     name << (cluster ? "NetMerge[nodes=" : "Merge[workers=") << lanes << "]";
@@ -691,8 +694,7 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
     merge_op.rows_out =
         merged.groups.empty() ? merged.rows_matched : merged.groups.size();
     merge_op.cpu_cycles = merge_cycles;
-    prof->ops.push_back(std::move(merge_op));
-    prof->total_cycles = static_cast<double>(merged.sim_cycles);
+    ctx.profile->ops.push_back(std::move(merge_op));
   }
 
   span.AddArg("rows_matched", merged.rows_matched);

@@ -124,8 +124,10 @@ class ShardScheduler {
 
   /// Runs the fan-out and merges. Uses ctx.options.max_threads for the
   /// single-host simulated width, ctx.injector's plan for per-shard fault
-  /// streams, ctx.profile for EXPLAIN ANALYZE per-shard meters and
-  /// ctx.tracer for the "query.shard_fanout" span.
+  /// streams and ctx.tracer for the "query.shard_fanout" span. Fills
+  /// ctx.profile's shard, net, cycle and degradation fields — also when
+  /// a deadline fails the statement — and, under ctx.options.analyze,
+  /// one op per planned shard plus the merge.
   StatusOr<engine::QueryResult> Execute(const Request& req,
                                         const ExecContext& ctx);
 

@@ -52,8 +52,10 @@ struct ClusterConfig {
   /// transfers.
   uint32_t nodes = 1;
   /// Inter-node link model; defaults to sim::NetworkParams defaults
-  /// (the same values a default-constructed SimParams carries).
-  sim::NetworkParams network;
+  /// (the same values a default-constructed SimParams carries). The
+  /// explicit initializer lets `ConfigureCluster({.nodes = N})` omit it
+  /// without -Wmissing-field-initializers.
+  sim::NetworkParams network = {};
 };
 
 /// Validated cluster shape: node count, link parameters and the

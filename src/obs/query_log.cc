@@ -13,9 +13,9 @@ Json QueryLogRecord::ToJson() const {
   doc.Set("sql", sql);
   doc.Set("table", table);
   doc.Set("backend", backend);
-  doc.Set("status", status);
+  doc.Set("status", ok ? "ok" : "error");
   doc.Set("status_code", status_code);
-  if (status == "error") doc.Set("error", error);
+  if (!ok) doc.Set("error", error);
   doc.Set("cycles", cycles);
   doc.Set("end_cycles", end_cycles);
   doc.Set("rows_scanned", rows_scanned);
@@ -161,7 +161,7 @@ std::string QueryLog::ToTable(size_t last_n) const {
     }
     os << " cycles=" << FormatCount(r.cycles)
        << " rows=" << FormatCount(r.rows_matched);
-    if (r.status != "ok") os << " ERROR(" << r.error << ")";
+    if (!r.ok) os << " ERROR(" << r.error << ")";
     if (r.degraded) os << " DEGRADED(" << r.degradation << ")";
     if (r.faults_injected > 0) os << " faults=" << r.faults_injected;
     os << "  " << r.sql << '\n';

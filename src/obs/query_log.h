@@ -11,20 +11,23 @@
 
 namespace relfab::obs {
 
-/// One structured record per executed statement. Every field is emitted
-/// on every record (only `error` is conditional) so downstream tools can
-/// rely on a fixed schema; ValidateRecord() is the single source of
-/// truth for that schema and is mirrored by tools/analyze_query_log.py.
+/// The one per-statement record: the Fabric builds it after every
+/// statement (from the plan, the result, the status and the statement's
+/// profile) and WorkloadTelemetry::RecordStatement stamps and logs it.
+/// Every field is emitted on every record (only `error` is conditional)
+/// so downstream tools can rely on a fixed schema; ValidateRecord() is
+/// the single source of truth for that schema and is mirrored by
+/// tools/analyze_query_log.py.
 struct QueryLogRecord {
   uint64_t seq = 0;           // assigned by QueryLog::Append
   std::string session;        // logical session id ("shell", "s3", ...)
   std::string sql;
   std::string table;
   std::string backend;        // chosen plan backend ("ROWWISE", ...)
-  std::string status = "ok";  // "ok" | "error"
-  std::string error;          // present iff status == "error"
+  bool ok = true;             // JSON "status": "ok" | "error"
+  std::string error;          // present iff !ok
   /// StatusCode name of the statement outcome ("ok", "unavailable",
-  /// "deadline_exceeded", ...) — finer-grained than `status` so
+  /// "deadline_exceeded", ...) — finer-grained than `ok` so
   /// availability tooling can separate failure domains from plain
   /// errors.
   std::string status_code = "ok";

@@ -5,23 +5,26 @@
 #include "common/format.h"
 
 namespace relfab::obs {
+namespace {
 
+constexpr size_t kTimeSeriesWindows = 64;  // windows retained
+
+}  // namespace
+
+// The query log and the flight recorder keep their default capacities.
 WorkloadTelemetry::WorkloadTelemetry(TelemetryConfig config)
     : config_(std::move(config)),
-      timeseries_(config_.window_cycles, config_.timeseries_capacity),
-      query_log_(config_.query_log_capacity),
-      flight_recorder_(config_.flight_recorder_capacity) {
-  // The bundle's own exported counters are always tracked; configured
-  // instruments come on top.
+      timeseries_(config_.window_cycles, kTimeSeriesWindows) {
+  // The bundle's own exported counters are always tracked; the Fabric
+  // adds its own series on top.
   timeseries_.Track("telemetry.statements");
   timeseries_.Track("telemetry.cycles");
   timeseries_.Track("telemetry.errors");
   timeseries_.Track("telemetry.degraded");
   timeseries_.Track("telemetry.faults.injected");
-  for (const std::string& name : config_.tracked) timeseries_.Track(name);
 }
 
-void WorkloadTelemetry::RecordStatement(const Statement& statement) {
+void WorkloadTelemetry::RecordStatement(Statement statement) {
   workload_cycles_ += statement.cycles;
   ++statements_;
   if (!statement.ok) ++errors_;
@@ -35,42 +38,20 @@ void WorkloadTelemetry::RecordStatement(const Statement& statement) {
                      static_cast<double>(statement.cycles));
   }
 
-  QueryLogRecord record;
-  record.session = config_.session;
-  record.sql = statement.sql;
-  record.table = statement.table;
-  record.backend = statement.backend;
-  record.status = statement.ok ? "ok" : "error";
-  record.error = statement.error;
-  record.status_code = statement.status_code;
-  record.cycles = statement.cycles;
-  record.end_cycles = workload_cycles_;
-  record.rows_scanned = statement.rows_scanned;
-  record.rows_matched = statement.rows_matched;
-  record.shards_total = statement.shards_total;
-  record.shards_scanned = statement.shards_scanned;
-  record.shards_pruned = statement.shards_pruned;
-  record.shards_failed_over = statement.shards_failed_over;
-  record.net_bytes = statement.net_bytes;
-  record.shards_ship_rows = statement.shards_ship_rows;
-  record.shards_ship_aggs = statement.shards_ship_aggs;
-  record.degraded = statement.degraded;
-  record.degradation = statement.degradation;
-  record.faults_injected = statement.faults_injected;
-  record.fault_retries = statement.fault_retries;
-  record.fault_fallbacks = statement.fault_fallbacks;
-  query_log_.Append(std::move(record));
-
-  if (statement.degraded || statement.faults_injected > 0) {
-    std::string reason;
-    if (statement.degraded) {
-      reason = "degraded: " + statement.degradation;
-    } else {
-      reason = "faults: " + std::to_string(statement.faults_injected) +
+  std::string incident;
+  if (statement.degraded) {
+    incident = "degraded: " + statement.degradation;
+  } else if (statement.faults_injected > 0) {
+    incident = "faults: " + std::to_string(statement.faults_injected) +
                " injected";
-    }
+  }
+  statement.session = config_.session;
+  statement.end_cycles = workload_cycles_;
+  query_log_.Append(std::move(statement));
+
+  if (!incident.empty()) {
     const Status dumped =
-        flight_recorder_.TriggerDump(reason, workload_cycles_);
+        flight_recorder_.TriggerDump(incident, workload_cycles_);
     if (!dumped.ok()) ++dump_failures_;
   }
 }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "obs/digest.h"
 #include "obs/flight_recorder.h"
@@ -18,12 +17,6 @@ namespace relfab::obs {
 struct TelemetryConfig {
   std::string session = "main";       // session id stamped on log records
   uint64_t window_cycles = 5'000'000;  // time-series window width
-  size_t timeseries_capacity = 64;     // windows retained
-  size_t query_log_capacity = 1024;    // records retained in memory
-  size_t flight_recorder_capacity = FlightRecorder::kDefaultCapacity;
-  /// Registry instruments sampled into the time-series (in addition to
-  /// the "telemetry.*" counters the bundle exports itself).
-  std::vector<std::string> tracked;
 };
 
 /// relfab::obs v2 bundle: the per-session workload telemetry state —
@@ -36,39 +29,18 @@ struct TelemetryConfig {
 /// and cycles — is bit-identical to having no telemetry at all.
 class WorkloadTelemetry {
  public:
-  /// Everything the Fabric reports about one finished statement.
-  struct Statement {
-    std::string sql;
-    std::string table;
-    std::string backend;
-    bool ok = true;
-    std::string error;
-    /// StatusCode name of the outcome ("ok", "unavailable", ...).
-    std::string status_code = "ok";
-    uint64_t cycles = 0;
-    uint64_t rows_scanned = 0;
-    uint64_t rows_matched = 0;
-    uint32_t shards_total = 0;
-    uint32_t shards_scanned = 0;
-    uint32_t shards_pruned = 0;
-    uint32_t shards_failed_over = 0;  // dead replicas skipped
-    /// Distributed fabric (zero outside a configured cluster).
-    uint64_t net_bytes = 0;
-    uint32_t shards_ship_rows = 0;
-    uint32_t shards_ship_aggs = 0;
-    bool degraded = false;
-    std::string degradation;
-    uint64_t faults_injected = 0;  // deltas over this statement
-    uint64_t fault_retries = 0;
-    uint64_t fault_fallbacks = 0;
-  };
+  /// Everything the Fabric reports about one finished statement: the
+  /// query-log record itself, before `session`, `end_cycles` and `seq`
+  /// are stamped.
+  using Statement = QueryLogRecord;
 
   explicit WorkloadTelemetry(TelemetryConfig config = {});
 
   /// Advances the workload clock by the statement's cycles, feeds the
-  /// per-backend digests and the query log, and — when the statement
-  /// degraded or faults fired — triggers a flight-recorder dump.
-  void RecordStatement(const Statement& statement);
+  /// per-backend digests, stamps the record's session and end_cycles and
+  /// appends it to the query log, and — when the statement degraded or
+  /// faults fired — triggers a flight-recorder dump.
+  void RecordStatement(Statement statement);
 
   /// Samples the time-series from `registry` at the current workload
   /// clock. Call after RecordStatement with the refreshed fabric

@@ -1,5 +1,7 @@
 #include "query/executor.h"
 
+#include <optional>
+
 #include "engine/hybrid.h"
 #include "engine/rm_exec.h"
 #include "engine/vector_engine.h"
@@ -86,23 +88,25 @@ StatusOr<engine::QueryResult> Executor::Execute(
   span.AddArg("backend", std::string(BackendToString(plan.backend)));
   span.AddArg("table", plan.table);
 
-  if (ctx.profile == nullptr) {
-    auto result = Dispatch(plan, entry, ctx, nullptr);
-    if (result.ok()) span.AddArg("rows_matched", result->rows_matched);
-    return result;
+  // Per-operator attribution only under EXPLAIN ANALYZE; without it the
+  // engines run with a null profiler and carry zero profiling cost.
+  std::optional<obs::OpProfiler> prof;
+  if (ctx.profile != nullptr) {
+    ctx.profile->backend = std::string(BackendToString(plan.backend));
+    ctx.profile->table = plan.table;
+    if (ctx.options.analyze) {
+      sim::MemorySystem* memory =
+          plan.backend == Backend::kColumn && entry.columns != nullptr
+              ? entry.columns->memory()
+              : entry.rows->memory();
+      prof.emplace(ctx.profile, [memory] { return memory->Sample(); });
+    }
   }
-
-  ctx.profile->backend = std::string(BackendToString(plan.backend));
-  ctx.profile->table = plan.table;
-  sim::MemorySystem* memory =
-      plan.backend == Backend::kColumn && entry.columns != nullptr
-          ? entry.columns->memory()
-          : entry.rows->memory();
-  obs::OpProfiler prof(ctx.profile, [memory] { return memory->Sample(); });
-  auto result = Dispatch(plan, entry, ctx, &prof);
-  prof.Finish();  // engines already Finish(); this closes error paths
+  auto result = Dispatch(plan, entry, ctx, prof ? &*prof : nullptr);
+  // Engines already Finish(); this closes error paths.
+  if (prof) prof->Finish();
   if (result.ok()) {
-    ctx.profile->total_cycles = result->sim_cycles;
+    if (ctx.profile != nullptr) ctx.profile->total_cycles = result->sim_cycles;
     span.AddArg("rows_matched", result->rows_matched);
   }
   return result;
@@ -122,9 +126,9 @@ StatusOr<engine::QueryResult> Executor::FallbackToRowScan(
     ctx.injector->NoteFallback("query." +
                                std::string(BackendToString(plan.backend)));
   }
-  if (prof != nullptr) {
-    prof->Switch(-1);
-    prof->NoteFallback(cause.ToString() + "; query re-run on ROW backend");
+  if (prof != nullptr) prof->Switch(-1);
+  if (ctx.profile != nullptr) {
+    ctx.profile->fallback = cause.ToString() + "; query re-run on ROW backend";
   }
   if (ctx.recorder != nullptr) {
     ctx.recorder->Log("query",

@@ -29,12 +29,13 @@ class Executor {
     RELFAB_CHECK(catalog != nullptr && rm != nullptr);
   }
 
-  /// Executes the plan with the given context. When `ctx.profile` is
-  /// non-null (EXPLAIN ANALYZE) the chosen engine attributes simulator
-  /// meters to its operators and the profile is filled in; when null,
-  /// execution carries zero profiling cost. When `ctx.tracer` is
-  /// attached, the run is wrapped in a "query.execute" span. Shard
-  /// fan-out plans require `ctx.scheduler`.
+  /// Executes the plan with the given context. A non-null `ctx.profile`
+  /// gets the statement-level fields (backend, table, total cycles,
+  /// degradation note; shard fan-outs add shard and net counts); only
+  /// under `ctx.options.analyze` does the chosen engine also attribute
+  /// simulator meters to its operators. When `ctx.tracer` is attached,
+  /// the run is wrapped in a "query.execute" span. Shard fan-out plans
+  /// require `ctx.scheduler`.
   StatusOr<engine::QueryResult> Execute(const Plan& plan,
                                         const exec::ExecContext& ctx) const;
 

@@ -374,6 +374,7 @@ TEST(ChaosTest, RmQueryCompletesViaHostFallbackAfterRetryExhaustion) {
   exec::ExecContext ctx;
   ctx.injector = injector;
   ctx.profile = &profile;
+  ctx.options.analyze = true;
   StatusOr<engine::QueryResult> degraded = executor.Execute(plan, ctx);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
 

@@ -58,6 +58,7 @@ class ExplainAnalyzeTest : public ::testing::Test {
     obs::QueryProfile profile;
     exec::ExecContext ctx;
     ctx.profile = &profile;
+    ctx.options.analyze = true;
     auto result = executor.Execute(*plan, ctx);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
 

@@ -568,7 +568,7 @@ TEST(QueryLogTest, RecordJsonPassesSchemaValidation) {
   EXPECT_TRUE(QueryLog::ValidateRecord(ok.ToJson()).ok());
 
   QueryLogRecord err = MakeRecord("SELECT nope");
-  err.status = "error";
+  err.ok = false;
   err.error = "unknown column";
   EXPECT_TRUE(QueryLog::ValidateRecord(err.ToJson()).ok());
 

@@ -230,7 +230,7 @@ TEST(TelemetryTest, QueryLogRecordsEveryStatementWithValidSchema) {
     EXPECT_EQ(r.seq, i);
     EXPECT_EQ(r.session, "t");
     EXPECT_EQ(r.sql, Statements()[i]);
-    EXPECT_EQ(r.status, "ok");
+    EXPECT_TRUE(r.ok);
     EXPECT_FALSE(r.backend.empty());
     EXPECT_EQ(r.cycles, run.results[i].sim_cycles);
     // The workload clock is cumulative and monotonic.
@@ -258,7 +258,7 @@ TEST(TelemetryTest, FailedStatementsAreLoggedAsErrors) {
   EXPECT_EQ(t->errors(), 1u);
   auto recent = t->query_log().Recent();
   ASSERT_EQ(recent.size(), 1u);
-  EXPECT_EQ(recent[0]->status, "error");
+  EXPECT_FALSE(recent[0]->ok);
   EXPECT_FALSE(recent[0]->error.empty());
   auto status = obs::QueryLog::ValidateRecord(recent[0]->ToJson());
   EXPECT_TRUE(status.ok()) << status.ToString();
@@ -314,7 +314,7 @@ TEST(TelemetryTest, FaultDegradationTriggersFlightRecorderDump) {
   EXPECT_TRUE(recent[0]->degraded);
   EXPECT_FALSE(recent[0]->degradation.empty());
   EXPECT_GE(recent[0]->fault_fallbacks, 1u);
-  EXPECT_EQ(recent[0]->status, "ok");  // degraded, not failed
+  EXPECT_TRUE(recent[0]->ok);  // degraded, not failed
 }
 
 // ------------------------------------------------------- workload clock
