@@ -11,7 +11,6 @@ constexpr size_t kTimeSeriesWindows = 64;  // windows retained
 
 }  // namespace
 
-// The query log and the flight recorder keep their default capacities.
 WorkloadTelemetry::WorkloadTelemetry(TelemetryConfig config)
     : config_(std::move(config)),
       timeseries_(config_.window_cycles, kTimeSeriesWindows) {

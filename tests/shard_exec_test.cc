@@ -564,9 +564,9 @@ TEST(ShardFailoverTest, NoLiveReplicaIsStructuredUnavailable) {
   EXPECT_TRUE(partial->result.partial);
   EXPECT_EQ(partial->result.aggregates[0], 3000.0);  // 4000 minus shard 1
 
-  // The profile counts the shard that actually ran; the query log keeps
-  // the planner's view (shards planned, not pruned), so the two differ
-  // by the unavailable shard.
+  // The profile counts the shards that actually ran; the query log
+  // keeps the planner's view (shards planned, not pruned), so the two
+  // differ by the unavailable shard.
   auto analyzed = fabric->ExecuteSql(
       "SELECT COUNT(*) FROM m", {.analyze = true, .allow_partial = true});
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
