@@ -6,7 +6,7 @@
 /// Clang thread-safety annotations (a thin RELFAB_-prefixed spelling of
 /// the attributes behind -Wthread-safety), plus the annotated Mutex /
 /// MutexLock pair the rest of the repo must use instead of naked
-/// std::mutex / std::lock_guard (enforced by tools/relfab_lint.py).
+/// std::mutex / std::lock_guard (enforced by tools/relfab_analyzer).
 ///
 /// Under clang the annotations turn lock discipline into compile errors:
 /// every member declared RELFAB_GUARDED_BY(mu) may only be touched while

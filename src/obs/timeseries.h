@@ -14,7 +14,7 @@ namespace relfab::obs {
 /// clock. Time is supplied by the caller as a cumulative cycle count
 /// (e.g. the workload clock maintained by Fabric telemetry); the class
 /// never reads a wall clock, so it is deterministic by construction and
-/// passes relfab_lint's no-wall-clock rule.
+/// passes relfab_analyzer's wall-clock rule.
 ///
 /// Windows are fixed-width in cycles. Each call to Sample(registry, now)
 /// reads the tracked instruments; when `now` crosses a window boundary

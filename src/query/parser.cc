@@ -16,7 +16,13 @@ class ParseContext {
       : tokens_(tokens), schema_(schema) {}
 
   const Token& Peek() const { return (*tokens_)[pos_]; }
-  const Token& Next() { return (*tokens_)[pos_++]; }
+  /// Consumes one token; the trailing kEnd token is never stepped past,
+  /// so a later Peek() (or Error()) stays inside the token vector.
+  const Token& Next() {
+    const Token& t = (*tokens_)[pos_];
+    if (t.type != TokenType::kEnd) ++pos_;
+    return t;
+  }
   bool AtEnd() const { return Peek().type == TokenType::kEnd; }
   size_t pos() const { return pos_; }
   void Seek(size_t pos) { pos_ = pos; }

@@ -1,5 +1,5 @@
 // dest: src/exec/taint_clock.cc
-// expect: taint-flow
+// expect: taint-flow, wall-clock
 // Wall-clock time flowing into cycle accounting: the canonical
 // determinism bug. Elapsed host time depends on machine load, so the
 // simulated cycle count would differ run to run.

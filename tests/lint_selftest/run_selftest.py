@@ -1,33 +1,23 @@
 #!/usr/bin/env python3
-"""Self-test for the static-analysis layer (ctest lint_selftest).
+"""Self-test for tools/relfab_analyzer (ctest lint_selftest).
 
-Covers both tools — the regex linter (tools/relfab_lint.py) and the
-AST analyzer (tools/relfab_analyzer/) — in four halves:
+Every fixture under fixtures/ and fixtures/analyzer/ is staged into one
+temporary fake repo at the path its `// dest:` line names. Rules are
+scoped by directory: unordered-iteration and data-check fire only in
+some src/ directories, line rules scan bench/ and program rules do
+not. A synthetic compile_commands.json covers the staged src/ .cc
+files, so the compile-database path is exercised. The analyzer then
+runs once, in --strict mode with the baseline disabled, and the set of
+rules it reports per file must equal the fixture's `// expect:` line.
 
-1. Linter detection: every fixture directly under fixtures/ is staged
-   into a temporary fake repo at the path named by its `// dest:` line
-   (dir-scoped rules like unordered-iteration and data-check only fire
-   in specific directories), the linter runs over the fake tree, and
-   the set of rules reported per file must equal the fixture's
-   `// expect:` line. A fixture expecting nothing (good_allowlisted)
-   proves the allowlist works; bad_bare_allow proves a reason-less
-   marker both reports itself and suppresses nothing.
+Fixtures expecting nothing prove that suppression works: an allow
+marker with a reason, a seeded relfab::Random, a handled StatusOr
+unwrap. bad_bare_allow proves a reason-less marker reports itself and
+suppresses nothing; the xtu_* pair proves the cross-TU summary carries
+taint between translation units; bad_bench_scope proves line rules
+scan bench/ and program rules do not.
 
-2. Linter cleanliness: the linter runs in --strict mode over the real
-   tree and must exit 0 — the repo stays lint-clean at all times.
-
-3. Analyzer detection: fixtures under fixtures/analyzer/ are staged
-   the same way (including a synthetic compile_commands.json so the
-   compile-database path is exercised) and analyzed with the baseline
-   disabled. Per-file rule sets must match `// expect:`; the good_*
-   fixtures prove taint sanitization (seeded relfab::Random) and
-   handled StatusOr unwraps stay silent, and the xtu_* pair proves
-   the cross-TU summary propagates taint between translation units.
-
-4. Analyzer cleanliness: the analyzer runs in --strict mode over the
-   real tree against the committed baseline
-   (tools/relfab_analyzer/baseline.json) and must exit 0 — new
-   findings fail, baseline-accepted ones do not.
+The real tree is gated by the relfab_analyzer ctest, not here.
 """
 
 import json
@@ -40,7 +30,6 @@ import tempfile
 
 SELFTEST_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(os.path.dirname(SELFTEST_DIR))
-LINTER = os.path.join(REPO_ROOT, "tools", "relfab_lint.py")
 ANALYZER = os.path.join(REPO_ROOT, "tools", "relfab_analyzer",
                         "analyze.py")
 FIXTURES = os.path.join(SELFTEST_DIR, "fixtures")
@@ -66,43 +55,23 @@ def parse_fixture_header(path):
     return dest, expect
 
 
-def stage_fixtures(fixture_dir, tmp):
+def stage_fixtures(tmp):
     """Copies each fixture to its `// dest:` path under tmp; returns
     {dest: expected rule set}."""
     expected_by_dest = {}
-    for name in sorted(os.listdir(fixture_dir)):
-        src = os.path.join(fixture_dir, name)
-        if os.path.isdir(src):
-            continue
-        dest, expect = parse_fixture_header(src)
-        staged = os.path.join(tmp, dest)
-        os.makedirs(os.path.dirname(staged), exist_ok=True)
-        shutil.copyfile(src, staged)
-        expected_by_dest[dest] = expect
+    for fixture_dir in (FIXTURES, ANALYZER_FIXTURES):
+        for name in sorted(os.listdir(fixture_dir)):
+            src = os.path.join(fixture_dir, name)
+            if os.path.isdir(src):
+                continue
+            dest, expect = parse_fixture_header(src)
+            if dest in expected_by_dest:
+                raise SystemExit(f"fixture {src}: dest {dest} is taken")
+            staged = os.path.join(tmp, dest)
+            os.makedirs(os.path.dirname(staged), exist_ok=True)
+            shutil.copyfile(src, staged)
+            expected_by_dest[dest] = expect
     return expected_by_dest
-
-
-def check_tool(cmd, expected_by_dest, label, failures):
-    """Runs a findings-emitting tool over a staged tree and compares the
-    per-file rule sets against expectations. Returns the process."""
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    reported = {}
-    for line in proc.stdout.splitlines():
-        m = VIOLATION_RE.match(line)
-        if m:
-            reported.setdefault(m.group("path"), set()).add(m.group("rule"))
-
-    for dest, expect in sorted(expected_by_dest.items()):
-        got = reported.get(dest, set())
-        if got != expect:
-            failures.append(f"{label}: {dest}: expected rules "
-                            f"{sorted(expect)}, got {sorted(got)}")
-
-    any_expected = any(expected_by_dest.values())
-    if any_expected and proc.returncode == 0:
-        failures.append(f"{label}: --strict exited 0 although fixtures "
-                        f"contain violations")
-    return proc
 
 
 def write_compile_db(tmp):
@@ -129,56 +98,40 @@ def write_compile_db(tmp):
 
 def main():
     failures = []
+    with tempfile.TemporaryDirectory(prefix="relfab_analyzer_selftest_") \
+            as tmp:
+        expected = stage_fixtures(tmp)
+        db = write_compile_db(tmp)
+        proc = subprocess.run(
+            [sys.executable, ANALYZER, "--strict", "--root", tmp,
+             "--compile-db", db, "--baseline", "none"],
+            capture_output=True, text=True)
 
-    # Half 1: linter fixture detection.
-    with tempfile.TemporaryDirectory(prefix="relfab_lint_selftest_") as tmp:
-        expected = stage_fixtures(FIXTURES, tmp)
-        if not expected:
-            raise SystemExit("no linter fixtures found")
-        n_lint = len(expected)
-        check_tool([sys.executable, LINTER, "--strict", "--root", tmp],
-                   expected, "linter", failures)
-
-    # Half 2: the real tree must be lint-clean.
-    proc = subprocess.run(
-        [sys.executable, LINTER, "--strict", "--root", REPO_ROOT],
-        capture_output=True, text=True)
-    if proc.returncode != 0:
-        failures.append("real tree is not lint-clean:\n" + proc.stdout)
-
-    # Half 3: analyzer fixture detection (baseline disabled so every
-    # staged finding counts as new).
-    n_analyzer = 0
-    if os.path.isdir(ANALYZER_FIXTURES):
-        with tempfile.TemporaryDirectory(
-                prefix="relfab_analyzer_selftest_") as tmp:
-            expected = stage_fixtures(ANALYZER_FIXTURES, tmp)
-            if not expected:
-                raise SystemExit("no analyzer fixtures found")
-            n_analyzer = len(expected)
-            db = write_compile_db(tmp)
-            check_tool([sys.executable, ANALYZER, "--strict",
-                        "--root", tmp, "--compile-db", db,
-                        "--baseline", "none"],
-                       expected, "analyzer", failures)
-
-    # Half 4: the real tree must be analyzer-clean modulo the committed
-    # baseline.
-    proc = subprocess.run(
-        [sys.executable, ANALYZER, "--strict", "--root", REPO_ROOT],
-        capture_output=True, text=True)
-    if proc.returncode != 0:
-        failures.append(
-            "real tree has analyzer findings not in baseline.json:\n"
-            + proc.stdout)
+    reported = {}
+    for line in proc.stdout.splitlines():
+        m = VIOLATION_RE.match(line)
+        if m:
+            reported.setdefault(m.group("path"), set()).add(m.group("rule"))
+    for dest, expect in sorted(expected.items()):
+        got = reported.get(dest, set())
+        if got != expect:
+            failures.append(f"{dest}: expected rules {sorted(expect)}, "
+                            f"got {sorted(got)}")
+    unexpected = sorted(set(reported) - set(expected))
+    if unexpected:
+        failures.append(f"findings in files that are not fixtures: "
+                        f"{unexpected}")
+    if proc.returncode == 0:
+        failures.append("--strict exited 0 although fixtures contain "
+                        "violations")
 
     if failures:
         print("lint_selftest FAILED:")
         for f in failures:
             print("  " + f)
+        print(proc.stderr)
         return 1
-    print(f"lint_selftest OK: {n_lint} linter fixtures, "
-          f"{n_analyzer} analyzer fixtures, real tree clean")
+    print(f"lint_selftest OK: {len(expected)} fixtures")
     return 0
 
 

@@ -144,14 +144,25 @@ TEST_F(QueryTest, ParseErrors) {
   EXPECT_FALSE(parser.Parse("SELECT bogus FROM orders").ok());
   EXPECT_FALSE(parser.Parse("qty FROM orders").ok());
   EXPECT_FALSE(parser.Parse("SELECT qty").ok());
-  EXPECT_FALSE(parser.Parse("SELECT qty FROM orders WHERE qty").ok());
   EXPECT_FALSE(parser.Parse("SELECT qty FROM orders WHERE region = 1").ok());
   EXPECT_FALSE(
       parser.Parse("SELECT qty, SUM(price) FROM orders").ok());
-  EXPECT_FALSE(
-      parser.Parse("SELECT SUM(qty) FROM orders GROUP BY").ok());
   EXPECT_FALSE(parser.Parse("SELECT SUM(region) FROM orders").ok());
   EXPECT_FALSE(parser.Parse("SELECT qty FROM orders trailing").ok());
+
+  // Input that stops where a token is required reports the end of the
+  // input as its offset, and never reads past the token stream.
+  for (const std::string sql :
+       {"SELECT qty FROM orders WHERE", "SELECT qty FROM orders WHERE qty",
+        "SELECT qty FROM orders WHERE qty <",
+        "SELECT SUM(qty) FROM orders GROUP BY"}) {
+    auto parsed = parser.Parse(sql);
+    ASSERT_FALSE(parsed.ok()) << sql;
+    const std::string suffix = " at offset " + std::to_string(sql.size());
+    const std::string& message = parsed.status().message();
+    ASSERT_GE(message.size(), suffix.size()) << message;
+    EXPECT_EQ(message.substr(message.size() - suffix.size()), suffix) << sql;
+  }
 }
 
 TEST_F(QueryTest, SelectedColumnsMustBeGrouped) {

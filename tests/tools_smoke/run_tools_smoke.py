@@ -89,12 +89,8 @@ def main():
             [tool("check_availability.py"), "--min-answered", "0.99",
              chaos], expect_rc=1)
 
-        # Static analysis tools: lint one real file, analyze one real
-        # file, both with --json into the temp dir.
-        lint_json = os.path.join(tmp, "lint.json")
-        run("relfab_lint --json",
-            [tool("relfab_lint.py"), "--root", REPO_ROOT, "--json",
-             lint_json, "src/common/statusor.h"])
+        # Static analyzer: analyze one real file with --json into the
+        # temp dir.
         an_json = os.path.join(tmp, "analyzer.json")
         run("relfab_analyzer --json",
             [os.path.join(TOOLS, "relfab_analyzer", "analyze.py"),
@@ -102,18 +98,41 @@ def main():
              "--baseline", "none", "--json", an_json,
              "src/common/statusor.h"])
         covered.add("relfab_analyzer/analyze.py")
-        for path, expect_tool in ((lint_json, "relfab_lint"),
-                                  (an_json, "relfab_analyzer")):
-            if os.path.exists(path):
-                with open(path, encoding="utf-8") as f:
-                    doc = json.load(f)
-                if doc.get("tool") != expect_tool \
-                        or doc.get("schema_version") != 1 \
-                        or "findings" not in doc:
-                    failures.append(f"{expect_tool}: bad findings JSON "
-                                    f"schema in {path}")
-            else:
-                failures.append(f"{expect_tool}: --json wrote nothing")
+        if os.path.exists(an_json):
+            with open(an_json, encoding="utf-8") as f:
+                doc = json.load(f)
+            if doc.get("tool") != "relfab_analyzer" \
+                    or doc.get("schema_version") != 1 \
+                    or "findings" not in doc:
+                failures.append(f"relfab_analyzer: bad findings JSON "
+                                f"schema in {an_json}")
+        else:
+            failures.append("relfab_analyzer: --json wrote nothing")
+
+        # The baseline waives program rules only: fed its own findings
+        # as the baseline, --strict still fails on the line finding.
+        tree = os.path.join(tmp, "tree")
+        os.makedirs(os.path.join(tree, "src", "exec"))
+        with open(os.path.join(tree, "src", "exec", "scan.cc"), "w",
+                  encoding="utf-8") as f:
+            f.write("struct Stats { unsigned long long cycles = 0; };\n"
+                    "void Scan(Stats& s) {\n"
+                    "  s.cycles += std::chrono::steady_clock::now()"
+                    ".time_since_epoch().count();\n"
+                    "}\n")
+        all_json = os.path.join(tmp, "tree_findings.json")
+        analyzer = [os.path.join(TOOLS, "relfab_analyzer", "analyze.py"),
+                    "--root", tree, "--frontend", "internal"]
+        run("relfab_analyzer on a tainted tree",
+            analyzer + ["--baseline", "none", "--json", all_json])
+        proc = run("relfab_analyzer --strict keeps line rules unwaived",
+                   analyzer + ["--strict", "--baseline", all_json],
+                   expect_rc=1)
+        if "[wall-clock]" not in proc.stdout \
+                or "[taint-flow]" in proc.stdout:
+            failures.append(f"relfab_analyzer: baseline must waive "
+                            f"taint-flow but not wall-clock, got "
+                            f"{proc.stdout.strip()[:400]}")
 
     # Coverage: every tools/*.py must have been exercised above.
     present = {name for name in os.listdir(TOOLS)

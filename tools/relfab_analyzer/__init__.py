@@ -1,7 +1,12 @@
-"""relfab_analyzer: AST-based semantic determinism analyzer.
+"""relfab_analyzer: the repo's determinism and concurrency analyzer.
 
-Complements tools/relfab_lint.py (regex layer) with analyses that need
-types, scopes, and data flow:
+Line rules (relfab_analyzer.lines) read one file at a time and scan
+src/, bench/ and tests/: wall-clock, ambient-random,
+unordered-iteration, naked-mutex, unguarded-mutex, data-check,
+header-guard and bare-allow.
+
+Program rules need types, scopes and data flow over the whole program
+model, and scan src/ only:
 
   taint-flow        host-nondeterministic values (wall clock, thread ids,
                     hardware_concurrency, pointer-as-integer, unordered
@@ -26,18 +31,22 @@ Two interchangeable frontends produce the same IR (relfab_analyzer.ir):
             in CI where a pinned libclang is installed.
   internal  a self-contained conservative C++ structure parser — no
             dependencies beyond the stdlib, used wherever libclang is
-            unavailable (the default dev container).
+            unavailable.
 
 `--frontend auto` (the default) prefers clang and falls back, per TU,
 to the internal frontend on any parse failure, so findings are always
-produced. See docs/static-analysis.md ("Layer 4 — the AST analyzer").
+produced. See docs/static-analysis.md.
 """
+
+from .lines import LINE_RULES
 
 __version__ = "1.0"
 
-ANALYZER_RULES = (
+PROGRAM_RULES = (
     "taint-flow",
     "lock-consistency",
     "status-unwrap",
     "allow-audit",
 )
+
+ANALYZER_RULES = LINE_RULES + PROGRAM_RULES

@@ -1,8 +1,9 @@
-"""allow-audit: semantic re-verification of inline lint suppressions.
+"""allow-audit: semantic re-verification of inline suppressions.
 
-The regex linter accepts `// relfab-lint: allow(unordered-iteration)
-<reason>` on faith — the reason invariably claims the container is
-"lookup-only". This pass checks the claim against the program model:
+The unordered-iteration line rule accepts `// relfab-lint:
+allow(unordered-iteration) <reason>` on faith — the reason invariably
+claims the container is "lookup-only". This pass checks the claim
+against the program model:
 
   1. the marker must actually cover a std::unordered_* declaration
      (member or local) on its own line or the next — otherwise it is

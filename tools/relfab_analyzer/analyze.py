@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""relfab_analyzer driver: semantic determinism analysis for the repo.
+"""relfab_analyzer: determinism and concurrency analysis for the repo.
 
 Usage:
     tools/relfab_analyzer/analyze.py [options] [paths...]
@@ -14,18 +14,18 @@ Options:
                         when importable, per-TU fallback to the internal
                         parser)
     --rules LIST        comma-separated subset of rules to run
-    --json FILE         write findings JSON (schema shared with
-                        tools/relfab_lint.py --json)
+    --json FILE         write findings JSON (schema in findings.py)
     --baseline FILE     baseline to diff against (default:
                         tools/relfab_analyzer/baseline.json; pass 'none'
                         to disable)
-    --write-baseline    rewrite the baseline from current findings
+    --write-baseline    rewrite the baseline from current program-rule
+                        findings (line rules take inline markers only)
     --strict            exit 1 on findings not covered by the baseline
     --list-rules        print rule names and exit
 
-Scans src/ by default (the cycle-domain production tree). Explicit
-paths (used by the lint self-test's staged fixtures) override scope
-discovery. See docs/static-analysis.md, "Layer 4 — the AST analyzer".
+Line rules scan src/, bench/ and tests/ and program rules scan src/
+(the cycle-domain production tree); both skip fixtures/ directories.
+Explicit paths override both scopes. See docs/static-analysis.md.
 """
 
 import argparse
@@ -35,12 +35,13 @@ import sys
 if __package__ in (None, ""):
     sys.path.insert(0, os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
-    from relfab_analyzer import ANALYZER_RULES  # noqa: E402
+    from relfab_analyzer import ANALYZER_RULES, PROGRAM_RULES  # noqa: E402
     from relfab_analyzer import allowaudit, clang_frontend, compiledb, \
-        cppmodel, findings as findings_mod, locks, statusflow, taint
+        cppmodel, findings as findings_mod, lines, locks, statusflow, taint
 else:
-    from . import ANALYZER_RULES, allowaudit, clang_frontend, compiledb, \
-        cppmodel, findings as findings_mod, locks, statusflow, taint
+    from . import ANALYZER_RULES, PROGRAM_RULES, allowaudit, \
+        clang_frontend, compiledb, cppmodel, findings as findings_mod, \
+        lines, locks, statusflow, taint
 
 
 class Program:
@@ -105,8 +106,8 @@ def build_program(root, compile_db=None, frontend="auto",
     return program
 
 
-def run_analyses(program, allow_index, root, rules):
-    all_findings = []
+def run_analyses(program, allow_index, root, rules, line_paths):
+    all_findings = lines.LinePass(allow_index, rules).run(line_paths)
     if "taint-flow" in rules:
         all_findings.extend(taint.TaintPass(program, allow_index).run())
     if "lock-consistency" in rules:
@@ -162,27 +163,37 @@ def main(argv):
     program = build_program(root, compile_db=compile_db,
                             frontend=args.frontend,
                             explicit_paths=args.paths or None)
+    if args.paths:
+        line_paths = [compiledb.repo_rel(root, p) for p in args.paths]
+        line_paths = [p for p in line_paths
+                      if os.path.isfile(os.path.join(root, p))]
+    else:
+        line_paths = list(compiledb.walk_scope(root, lines.LINE_SCOPE))
     allow_index = findings_mod.AllowIndex(root)
-    results = run_analyses(program, allow_index, root, rules)
+    results = run_analyses(program, allow_index, root, rules, line_paths)
+    files_scanned = len({tu.path for tu in program.tus} | set(line_paths))
 
     baseline_path = None if args.baseline in ("none", "") else args.baseline
     baseline = findings_mod.load_baseline(baseline_path)
 
+    # Only an inline marker with a reason waives a line rule.
     if args.write_baseline:
-        findings_mod.write_baseline(baseline_path, results)
+        waivable = [f for f in results if f.rule in PROGRAM_RULES]
+        findings_mod.write_baseline(baseline_path, waivable)
         print(f"relfab_analyzer: baseline rewritten with "
-              f"{len(results)} finding(s) -> {baseline_path}",
+              f"{len(waivable)} finding(s) -> {baseline_path}",
               file=sys.stderr)
         return 0
 
-    new, stale = findings_mod.diff_against_baseline(results, baseline)
+    new, stale = findings_mod.diff_against_baseline(results, baseline,
+                                                    PROGRAM_RULES)
     accepted = len(results) - len(new)
 
     for f in new:
         print(f)
     if args.json_out:
         findings_mod.write_json(args.json_out, "relfab_analyzer", root,
-                                len(program.tus), results)
+                                files_scanned, results)
     if stale:
         print(f"relfab_analyzer: {len(stale)} baseline entr"
               f"{'y is' if len(stale) == 1 else 'ies are'} stale "
@@ -195,6 +206,7 @@ def main(argv):
     print(f"relfab_analyzer: {'STRICT ' if args.strict else ''}"
           f"{len(program.tus)} TU(s) "
           f"(clang: {fe.get('clang', 0)}, internal: {fe.get('internal', 0)}), "
+          f"{len(line_paths)} file(s) for line rules, "
           f"rules [{', '.join(sorted(rules))}], "
           f"{len(results)} finding(s): {len(new)} new, "
           f"{accepted} baseline-accepted", file=sys.stderr)

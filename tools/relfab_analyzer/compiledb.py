@@ -20,17 +20,17 @@ runnable before the first cmake configure.
 import json
 import os
 
-# Analysis scope: the cycle-domain production tree. bench/ and tests/
-# intentionally live outside the default scope — they run in the host
-# domain (wall timing is allowlisted there) and would drown the taint
-# pass in deliberate noise.
+# Program-rule scope: the cycle-domain production tree. bench/ and
+# tests/ intentionally live outside it — they run in the host domain
+# (wall timing is allowlisted there) and would drown the taint pass in
+# deliberate noise. The line rules scan them (lines.LINE_SCOPE).
 DEFAULT_SCOPE = ("src",)
 
 SOURCE_EXTS = (".cc", ".cpp")
 HEADER_EXTS = (".h", ".hpp")
 
 
-def _norm(root, path):
+def repo_rel(root, path):
     return os.path.relpath(os.path.abspath(path), root).replace(os.sep, "/")
 
 
@@ -60,6 +60,18 @@ def in_scope(rel_path, scope):
     return any(rel_path == s or rel_path.startswith(s + "/") for s in scope)
 
 
+def walk_scope(root, scope):
+    """Every C++ file under the scope directories, repo-relative and in
+    sorted order. fixtures/ directories are skipped: the self-test's
+    fixtures violate on purpose and are staged into a tree of their own."""
+    for top in scope:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames[:] = sorted(d for d in dirnames if d != "fixtures")
+            for name in sorted(filenames):
+                if name.endswith(HEADER_EXTS + SOURCE_EXTS):
+                    yield repo_rel(root, os.path.join(dirpath, name))
+
+
 def collect_tus(root, compile_db_path=None, scope=DEFAULT_SCOPE,
                 explicit_paths=None):
     """Returns (sources, entries_by_rel):
@@ -71,7 +83,7 @@ def collect_tus(root, compile_db_path=None, scope=DEFAULT_SCOPE,
     frontend's flags); internal-frontend-only paths map to None.
     """
     if explicit_paths:
-        rels = [_norm(root, p) for p in explicit_paths]
+        rels = [repo_rel(root, p) for p in explicit_paths]
         return rels, {r: None for r in rels}
 
     entries_by_rel = {}
@@ -79,7 +91,7 @@ def collect_tus(root, compile_db_path=None, scope=DEFAULT_SCOPE,
     seen = set()
 
     for e in load_entries(compile_db_path) if compile_db_path else []:
-        rel = _norm(root, e["file"])
+        rel = repo_rel(root, e["file"])
         if not in_scope(rel, scope) or not rel.endswith(SOURCE_EXTS):
             continue
         if rel in seen:
@@ -91,17 +103,9 @@ def collect_tus(root, compile_db_path=None, scope=DEFAULT_SCOPE,
     # Directory scan: headers always, and any in-scope .cc the database
     # missed (stale database, file not yet wired into CMake) — a source
     # file must never escape analysis just because it wasn't built.
-    for top in scope:
-        top_abs = os.path.join(root, top)
-        for dirpath, dirnames, filenames in os.walk(top_abs):
-            dirnames.sort()
-            dirnames[:] = [d for d in dirnames if d != "fixtures"]
-            for name in sorted(filenames):
-                rel = _norm(root, os.path.join(dirpath, name))
-                if rel in seen:
-                    continue
-                if name.endswith(HEADER_EXTS + SOURCE_EXTS):
-                    seen.add(rel)
-                    sources.append(rel)
-                    entries_by_rel[rel] = None
+    for rel in walk_scope(root, scope):
+        if rel not in seen:
+            seen.add(rel)
+            sources.append(rel)
+            entries_by_rel[rel] = None
     return sources, entries_by_rel

@@ -103,14 +103,20 @@ def scrub(text):
                     break
                 i += 1
         elif c == "'":
-            # Char literal vs digit separator (1'000): separator is
-            # preceded by an alnum and followed by an alnum.
-            if i > 0 and text[i - 1].isalnum() and nxt.isalnum():
+            # Char literal vs digit separator (1'000, 0xFF'FF): a
+            # separator sits inside a number token, which starts with a
+            # digit; u'x' and case'a' open char literals. A char
+            # literal never spans lines, so a stray quote stops at the
+            # newline and line numbers survive.
+            j = i
+            while j > 0 and (text[j - 1].isalnum() or text[j - 1] == "'"):
+                j -= 1
+            if j < i and text[j].isdigit() and nxt.isalnum():
                 i += 1
                 continue
             out.append("''")
             i += 1
-            while i < n:
+            while i < n and text[i] != "\n":
                 if text[i] == "\\":
                     i += 2
                     continue

@@ -1,10 +1,9 @@
 """Findings, inline allow markers, JSON schema, and the baseline file.
 
-The findings JSON schema is shared with tools/relfab_lint.py --json so
-CI can treat both layers' outputs uniformly:
+The findings JSON schema:
 
     {
-      "tool": "relfab_analyzer" | "relfab_lint",
+      "tool": "relfab_analyzer",
       "schema_version": 1,
       "root": "<abs repo root>",
       "files_scanned": N,
@@ -19,15 +18,16 @@ Fingerprints are line-number-independent — sha1 over
 (path | rule | symbol | normalized message) — so unrelated edits above
 a finding do not churn the committed baseline
 (tools/relfab_analyzer/baseline.json). The baseline holds the accepted
-findings; CI and the tier-1 ctest fail only on fingerprints *not* in
-the baseline, and print which baseline entries went stale (fixed) so
-they can be pruned with --write-baseline.
+program-rule findings; CI and the tier-1 ctest fail only on
+fingerprints *not* in the baseline, and print which baseline entries
+went stale (fixed) so they can be pruned with --write-baseline. A line
+finding's fingerprint names no site, so one entry would waive the rule
+for the whole file: line rules are never baselined.
 
-Suppression reuses the repo-wide inline marker syntax
+Suppression is one inline marker for every rule
 (docs/static-analysis.md): `// relfab-lint: allow(<rule>) <reason>` on
-the finding's line or the line above. A reason is mandatory; bare
-markers are relfab_lint's `bare-allow` violation and suppress nothing
-here either.
+the finding's line or the line above. A reason is mandatory; a bare
+marker suppresses nothing and is itself a `bare-allow` finding.
 """
 
 import hashlib
@@ -68,50 +68,54 @@ class Finding:
 
 
 class AllowIndex:
-    """Per-file inline allow markers (marker covers its line + next)."""
+    """One reader for every file's lines and inline allow markers (a
+    marker covers its own line and the next)."""
 
     def __init__(self, root):
         self.root = root
-        self._cache = {}
+        self._lines = {}
+        self._markers = {}
 
-    def _load(self, rel_path):
-        allows = {}
-        abs_path = os.path.join(self.root, rel_path)
-        try:
-            with open(abs_path, encoding="utf-8", errors="replace") as f:
-                for idx, line in enumerate(f, start=1):
-                    m = ALLOW_RE.search(line)
-                    if not m:
-                        continue
-                    reason = m.group(2).strip()
-                    if not reason:
-                        continue  # bare marker: relfab_lint reports it
+    def lines(self, rel_path):
+        """The file's lines, numbered as the frontends number them
+        ([] when the file is unreadable)."""
+        if rel_path not in self._lines:
+            try:
+                with open(os.path.join(self.root, rel_path),
+                          encoding="utf-8", errors="replace") as f:
+                    self._lines[rel_path] = f.read().split("\n")
+            except OSError:
+                self._lines[rel_path] = []
+        return self._lines[rel_path]
+
+    def _all_markers(self, rel_path):
+        """[(line, rules, reason, marker text)] in source order."""
+        if rel_path not in self._markers:
+            out = []
+            for idx, line in enumerate(self.lines(rel_path), start=1):
+                m = ALLOW_RE.search(line)
+                if m:
                     rules = {r.strip() for r in m.group(1).split(",")}
-                    for covered in (idx, idx + 1):
-                        allows.setdefault(covered, set()).update(rules)
-        except OSError:
-            pass
-        return allows
+                    out.append((idx, rules, m.group(2).strip(),
+                                m.group(0).strip()))
+            self._markers[rel_path] = out
+        return self._markers[rel_path]
 
     def allowed(self, rel_path, line, rule):
-        if rel_path not in self._cache:
-            self._cache[rel_path] = self._load(rel_path)
-        return rule in self._cache[rel_path].get(line, ())
+        return any(reason and rule in rules and line - idx in (0, 1)
+                   for idx, rules, reason, _ in self._all_markers(rel_path))
 
     def markers(self, rel_path, rule):
         """All (line, reason) markers for `rule` in a file (for audits)."""
-        out = []
-        abs_path = os.path.join(self.root, rel_path)
-        try:
-            with open(abs_path, encoding="utf-8", errors="replace") as f:
-                for idx, line in enumerate(f, start=1):
-                    m = ALLOW_RE.search(line)
-                    if m and rule in {r.strip()
-                                      for r in m.group(1).split(",")}:
-                        out.append((idx, m.group(2).strip()))
-        except OSError:
-            pass
-        return out
+        return [(idx, reason)
+                for idx, rules, reason, _ in self._all_markers(rel_path)
+                if rule in rules]
+
+    def bare_markers(self, rel_path):
+        """All (line, marker text) markers that give no reason."""
+        return [(idx, text)
+                for idx, _, reason, text in self._all_markers(rel_path)
+                if not reason]
 
 
 def dedupe(findings):
@@ -163,10 +167,12 @@ def write_baseline(path, findings):
         f.write("\n")
 
 
-def diff_against_baseline(findings, baseline):
+def diff_against_baseline(findings, baseline, waivable_rules):
     """Splits findings into (new, accepted) and finds stale baseline
-    entries; returns (new_findings, stale_entries)."""
+    entries; returns (new_findings, stale_entries). Only findings of
+    `waivable_rules` can be accepted."""
     current = {f.fingerprint for f in findings}
-    new = [f for f in findings if f.fingerprint not in baseline]
+    new = [f for f in findings
+           if f.rule not in waivable_rules or f.fingerprint not in baseline]
     stale = [e for fp, e in sorted(baseline.items()) if fp not in current]
     return new, stale

@@ -32,10 +32,10 @@ Sinks:
     Telemetry OnStatement
 
 Sanitization falls out of the model rather than being special-cased:
-`relfab::Random` is deterministic by construction (the regex linter
-bans ambient seeding), so a Random seeded from clean plan state and
-every value drawn from it carry no labels. Only a Random seeded from a
-*tainted* expression stays tainted.
+`relfab::Random` is deterministic by construction (the ambient-random
+line rule bans ambient seeding), so a Random seeded from clean plan
+state and every value drawn from it carry no labels. Only a Random
+seeded from a *tainted* expression stays tainted.
 
 Cross-TU: each function gets a summary — which labels its return value
 carries and which parameters reach a sink — iterated to a fixpoint
