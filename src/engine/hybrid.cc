@@ -8,28 +8,6 @@
 
 namespace relfab::engine {
 
-namespace {
-
-bool Compare(double v, const Predicate& p) {
-  switch (p.op) {
-    case CompareOp::kLt:
-      return v < p.double_operand;
-    case CompareOp::kLe:
-      return v <= p.double_operand;
-    case CompareOp::kGt:
-      return v > p.double_operand;
-    case CompareOp::kGe:
-      return v >= p.double_operand;
-    case CompareOp::kEq:
-      return v == p.double_operand;
-    case CompareOp::kNe:
-      return v != p.double_operand;
-  }
-  return false;
-}
-
-}  // namespace
-
 void HybridEngine::RecordFallback(const Status& cause,
                                   const char* where) const {
   if (injector_ != nullptr) injector_->NoteFallback(where);
@@ -66,7 +44,7 @@ void HybridEngine::HostSelectRemainder(
                              schema.width(p.column));
       memory->CpuWork(cost_.volcano_field_cycles + cost_.compare_cycles);
       const double v = table_->GetDouble(row, p.column);
-      pass = pass && Compare(v, p);
+      pass = pass && p.Matches(v);
     }
     if (pass) {
       qualifying->push_back(row);
@@ -140,7 +118,7 @@ StatusOr<QueryResult> HybridEngine::Execute(const QuerySpec& query) {
           memory->CpuWork(cost_.rm_value_cycles + cost_.compare_cycles);
           const double v =
               cur.GetDouble(static_cast<uint32_t>(field_of[p.column]));
-          pass = pass && Compare(v, p);
+          pass = pass && p.Matches(v);
         }
         if (pass) {
           qualifying.push_back(cur.row_index());

@@ -22,19 +22,41 @@ std::string_view AggFuncToString(AggFunc func) {
   return "?";
 }
 
-std::vector<uint32_t> QuerySpec::ReferencedColumns(
+namespace {
+
+void SortUniqueByOffset(const layout::Schema& schema,
+                        std::vector<uint32_t>* cols) {
+  std::sort(cols->begin(), cols->end(), [&schema](uint32_t a, uint32_t b) {
+    return schema.offset(a) < schema.offset(b);
+  });
+  cols->erase(std::unique(cols->begin(), cols->end()), cols->end());
+}
+
+bool CloseEnough(double a, double b, double rel_tol) {
+  const double diff = std::fabs(a - b);
+  const double scale = std::max(std::fabs(a), std::fabs(b));
+  return diff <= rel_tol * std::max(scale, 1.0);
+}
+
+}  // namespace
+
+std::vector<uint32_t> QuerySpec::OutputColumns(
     const layout::Schema& schema) const {
   std::vector<uint32_t> cols;
-  for (const Predicate& p : predicates) cols.push_back(p.column);
   for (const AggSpec& a : aggregates) {
     if (a.expr >= 0) exprs.CollectColumns(a.expr, &cols);
   }
-  for (uint32_t c : group_by) cols.push_back(c);
-  for (uint32_t c : projection) cols.push_back(c);
-  std::sort(cols.begin(), cols.end(), [&schema](uint32_t a, uint32_t b) {
-    return schema.offset(a) < schema.offset(b);
-  });
-  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  cols.insert(cols.end(), group_by.begin(), group_by.end());
+  cols.insert(cols.end(), projection.begin(), projection.end());
+  SortUniqueByOffset(schema, &cols);
+  return cols;
+}
+
+std::vector<uint32_t> QuerySpec::ReferencedColumns(
+    const layout::Schema& schema) const {
+  std::vector<uint32_t> cols = OutputColumns(schema);
+  for (const Predicate& p : predicates) cols.push_back(p.column);
+  SortUniqueByOffset(schema, &cols);
   return cols;
 }
 
@@ -109,16 +131,6 @@ uint32_t QuerySpec::AggOpCount() const {
   return ops;
 }
 
-namespace {
-
-bool CloseEnough(double a, double b, double rel_tol) {
-  const double diff = std::fabs(a - b);
-  const double scale = std::max(std::fabs(a), std::fabs(b));
-  return diff <= rel_tol * std::max(scale, 1.0);
-}
-
-}  // namespace
-
 bool QueryResult::SameAnswer(const QueryResult& other, double rel_tol) const {
   if (rows_scanned != other.rows_scanned ||
       rows_matched != other.rows_matched) {
@@ -142,27 +154,6 @@ bool QueryResult::SameAnswer(const QueryResult& other, double rel_tol) const {
     }
   }
   return CloseEnough(projection_checksum, other.projection_checksum, rel_tol);
-}
-
-void FinalizeAggregates(
-    const QuerySpec& query, const std::vector<AggState>& flat,
-    const std::map<GroupKey, std::vector<AggState>>& groups,
-    QueryResult* result) {
-  if (query.aggregates.empty()) return;
-  if (!query.group_by.empty()) {
-    for (const auto& [key, states] : groups) {
-      std::vector<double> finals(states.size());
-      for (size_t a = 0; a < states.size(); ++a) {
-        finals[a] = states[a].Final(query.aggregates[a].func);
-      }
-      result->groups.emplace_back(key, std::move(finals));
-    }
-    return;
-  }
-  result->aggregates.resize(flat.size());
-  for (size_t a = 0; a < flat.size(); ++a) {
-    result->aggregates[a] = flat[a].Final(query.aggregates[a].func);
-  }
 }
 
 std::string QueryResult::ToString() const {

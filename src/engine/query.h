@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -39,7 +38,12 @@ struct QuerySpec {
   /// materializing output.
   std::vector<uint32_t> projection;
 
-  /// All distinct columns the query touches, in schema-offset order.
+  /// Distinct columns a matched row's sink reads (aggregate inputs,
+  /// group keys, projection), in schema-offset order.
+  std::vector<uint32_t> OutputColumns(const layout::Schema& schema) const;
+
+  /// OutputColumns plus the predicate columns: every distinct column the
+  /// query touches, in schema-offset order.
   std::vector<uint32_t> ReferencedColumns(const layout::Schema& schema) const;
 
   /// Sanity-checks column indices and group-key types.
@@ -132,13 +136,6 @@ struct AggState {
     return 0;
   }
 };
-
-/// Converts accumulated aggregate states into the result's final values
-/// (shared by all three engines so they finalize identically).
-void FinalizeAggregates(const QuerySpec& query,
-                        const std::vector<AggState>& flat,
-                        const std::map<GroupKey, std::vector<AggState>>& groups,
-                        QueryResult* result);
 
 }  // namespace relfab::engine
 

@@ -1,34 +1,10 @@
 #include "engine/rm_exec.h"
 
-#include <algorithm>
-#include <map>
-
+#include "engine/agg_sink.h"
 #include "engine/volcano.h"  // PackCharKey
 #include "relmem/ephemeral.h"
 
 namespace relfab::engine {
-
-namespace {
-
-bool Compare(double v, const Predicate& p) {
-  switch (p.op) {
-    case CompareOp::kLt:
-      return v < p.double_operand;
-    case CompareOp::kLe:
-      return v <= p.double_operand;
-    case CompareOp::kGt:
-      return v > p.double_operand;
-    case CompareOp::kGe:
-      return v >= p.double_operand;
-    case CompareOp::kEq:
-      return v == p.double_operand;
-    case CompareOp::kNe:
-      return v != p.double_operand;
-  }
-  return false;
-}
-
-}  // namespace
 
 StatusOr<QueryResult> RmExecEngine::Execute(const QuerySpec& query) {
   RELFAB_RETURN_IF_ERROR(query.Validate(table_->schema()));
@@ -39,18 +15,7 @@ StatusOr<QueryResult> RmExecEngine::Execute(const QuerySpec& query) {
   // the fabric; without it they ride along in the ephemeral group.
   relmem::Geometry geometry;
   if (pushdown_) {
-    std::vector<uint32_t> cpu_cols;
-    for (const AggSpec& a : query.aggregates) {
-      if (a.expr >= 0) query.exprs.CollectColumns(a.expr, &cpu_cols);
-    }
-    for (uint32_t c : query.group_by) cpu_cols.push_back(c);
-    for (uint32_t c : query.projection) cpu_cols.push_back(c);
-    std::sort(cpu_cols.begin(), cpu_cols.end(),
-              [&schema](uint32_t a, uint32_t b) {
-                return schema.offset(a) < schema.offset(b);
-              });
-    cpu_cols.erase(std::unique(cpu_cols.begin(), cpu_cols.end()),
-                   cpu_cols.end());
+    std::vector<uint32_t> cpu_cols = query.OutputColumns(schema);
     if (cpu_cols.empty()) {
       // Degenerate count-only query: ship the narrowest column (prefer a
       // predicate column, which the fabric reads anyway).
@@ -93,27 +58,22 @@ StatusOr<QueryResult> RmExecEngine::Execute(const QuerySpec& query) {
   // FabricScan covers configuration, chunk production and buffer refills;
   // with pushdown the fabric also filters, so no Filter operator appears
   // and the scan's rows_out drop below its rows_in.
-  int op_scan = -1, op_filter = -1, op_sink = -1;
+  int op_scan = -1, op_filter = -1;
   const bool cpu_filter = !pushdown_ && !query.predicates.empty();
   if (prof_ != nullptr) {
     op_scan =
         prof_->AddOp(pushdown_ ? "FabricScanFilter" : "FabricScan");
     prof_->op(op_scan).rows_in = table_->num_rows();
     if (cpu_filter) op_filter = prof_->AddOp("Filter");
-    op_sink =
-        prof_->AddOp(query.aggregates.empty() ? "Project" : "Aggregate");
     prof_->Switch(op_scan);
   }
+  AggSink sink(query, schema, memory, cost_, prof_);
 
   RELFAB_ASSIGN_OR_RETURN(relmem::EphemeralView view,
                           rm_->Configure(*table_, std::move(geometry)));
 
   QueryResult result;
   result.rows_scanned = table_->num_rows();
-
-  const bool grouped = !query.group_by.empty();
-  std::vector<AggState> flat_aggs(query.aggregates.size());
-  std::map<GroupKey, std::vector<AggState>> groups;
 
   relmem::EphemeralView::Cursor cur(&view);
   const auto numeric = [&](uint32_t col) {
@@ -149,52 +109,13 @@ StatusOr<QueryResult> RmExecEngine::Execute(const QuerySpec& query) {
       for (const Predicate& p : query.predicates) {
         const double v = numeric(p.column);
         memory->CpuWork(cost_.compare_cycles);
-        pass = pass && Compare(v, p);
+        pass = pass && p.Matches(v);
       }
       if (!pass) continue;
       if (prof_ != nullptr && cpu_filter) ++prof_->op(op_filter).rows_out;
     }
-    if (prof_ != nullptr) {
-      prof_->Switch(op_sink);
-      ++prof_->op(op_sink).rows_in;
-    }
-    ++result.rows_matched;
-    if (query.aggregates.empty()) {
-      for (uint32_t col : query.projection) {
-        double v;
-        if (schema.type(col) == layout::ColumnType::kChar) {
-          v = static_cast<double>(key_of(col) & 0xffff);
-        } else {
-          v = numeric(col);
-        }
-        result.projection_checksum += v;
-        memory->CpuWork(cost_.arith_cycles);
-      }
-      continue;
-    }
-    std::vector<AggState>* states = &flat_aggs;
-    if (grouped) {
-      GroupKey key;
-      key.size = static_cast<uint32_t>(query.group_by.size());
-      for (uint32_t i = 0; i < key.size; ++i) {
-        key.values[i] = key_of(query.group_by[i]);
-      }
-      memory->CpuWork(cost_.group_hash_cycles);
-      states = &groups
-                    .try_emplace(key, std::vector<AggState>(
-                                          query.aggregates.size()))
-                    .first->second;
-    }
-    for (size_t a = 0; a < query.aggregates.size(); ++a) {
-      const AggSpec& spec = query.aggregates[a];
-      double v = 0;
-      if (spec.expr >= 0) {
-        v = query.exprs.Eval(spec.expr, numeric);
-        memory->CpuWork(cost_.arith_cycles * query.exprs.OpCount(spec.expr));
-      }
-      (*states)[a].Update(v);
-      memory->CpuWork(cost_.agg_update_cycles);
-    }
+    sink.Enter();
+    sink.Consume(numeric, key_of);
   }
 
   if (!view.status().ok()) {
@@ -205,13 +126,7 @@ StatusOr<QueryResult> RmExecEngine::Execute(const QuerySpec& query) {
     if (prof_ != nullptr) prof_->Finish();
     return view.status();
   }
-  if (prof_ != nullptr) {
-    prof_->Finish();
-    uint64_t out = result.rows_matched;
-    if (!query.aggregates.empty()) out = grouped ? groups.size() : 1;
-    prof_->op(op_sink).rows_out = out;
-  }
-  FinalizeAggregates(query, flat_aggs, groups, &result);
+  sink.Finish(&result);
   result.sim_cycles = memory->ElapsedCycles();
   return result;
 }

@@ -1,9 +1,9 @@
 #include "engine/vector_engine.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 
+#include "engine/agg_sink.h"
 #include "engine/volcano.h"  // PackCharKey
 #include "sim/memory_system.h"
 
@@ -91,39 +91,6 @@ class ReaderSet {
   std::vector<std::unique_ptr<ColumnReader>> readers_;
 };
 
-bool Compare(double v, const Predicate& p) {
-  switch (p.op) {
-    case CompareOp::kLt:
-      return v < p.double_operand;
-    case CompareOp::kLe:
-      return v <= p.double_operand;
-    case CompareOp::kGt:
-      return v > p.double_operand;
-    case CompareOp::kGe:
-      return v >= p.double_operand;
-    case CompareOp::kEq:
-      return v == p.double_operand;
-    case CompareOp::kNe:
-      return v != p.double_operand;
-  }
-  return false;
-}
-
-/// Distinct columns the post-selection phase materializes per tuple
-/// (aggregate inputs, group keys, projection): the tuple-reconstruction
-/// width.
-uint32_t OutputFieldCount(const QuerySpec& query) {
-  std::vector<uint32_t> cols;
-  for (const AggSpec& a : query.aggregates) {
-    if (a.expr >= 0) query.exprs.CollectColumns(a.expr, &cols);
-  }
-  for (uint32_t c : query.group_by) cols.push_back(c);
-  for (uint32_t c : query.projection) cols.push_back(c);
-  std::sort(cols.begin(), cols.end());
-  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-  return static_cast<uint32_t>(cols.size());
-}
-
 }  // namespace
 
 StatusOr<QueryResult> VectorEngine::Execute(const QuerySpec& query) {
@@ -144,24 +111,16 @@ StatusOr<QueryResult> VectorEngine::ExecuteFused(const QuerySpec& query) {
 
   // The fused pass evaluates scan + selection in one operator; only the
   // aggregate/projection sink is separable.
-  int op_scan = -1, op_sink = -1;
+  int op_scan = -1;
   if (prof_ != nullptr) {
     op_scan = prof_->AddOp(query.predicates.empty() ? "ColumnScan"
                                                     : "ColumnScanFilter");
     prof_->op(op_scan).rows_in = n;
-    op_sink =
-        prof_->AddOp(query.aggregates.empty() ? "Project" : "Aggregate");
   }
+  AggSink sink(query, table_->schema(), memory, cost_, prof_);
 
-  const bool grouped = !query.group_by.empty();
-  const uint32_t out_fields = OutputFieldCount(query);
-  std::vector<AggState> flat_aggs(query.aggregates.size());
-  std::map<GroupKey, std::vector<AggState>> groups;
-  uint64_t current_row = 0;
-  const auto col_fn = [&](uint32_t col) {
-    return readers.at(col).GetNumeric(current_row);
-  };
-
+  const uint32_t out_fields =
+      static_cast<uint32_t>(query.OutputColumns(table_->schema()).size());
   for (uint64_t batch = 0; batch < n; batch += cost_.batch_rows) {
     if (prof_ != nullptr) prof_->Switch(op_scan);
     memory->CpuWork(cost_.batch_overhead_cycles);
@@ -174,68 +133,23 @@ StatusOr<QueryResult> VectorEngine::ExecuteFused(const QuerySpec& query) {
       for (const Predicate& p : query.predicates) {
         const double v = readers.at(p.column).GetNumeric(row);
         memory->CpuWork(cost_.compare_cycles);
-        pass = pass && Compare(v, p);
+        pass = pass && p.Matches(v);
       }
       if (!pass) continue;
-      if (prof_ != nullptr) {
-        ++prof_->op(op_scan).rows_out;
-        prof_->Switch(op_sink);
-        ++prof_->op(op_sink).rows_in;
-      }
-      ++result.rows_matched;
-      current_row = row;
+      if (prof_ != nullptr) ++prof_->op(op_scan).rows_out;
+      sink.Enter();
       // Tuple reconstruction: stitch the output fields of this position
       // from `out_fields` separate arrays.
       if (out_fields > 1) {
         memory->CpuWork(cost_.reconstruct_field_cycles * out_fields);
       }
-      if (query.aggregates.empty()) {
-        for (uint32_t col : query.projection) {
-          double v;
-          if (table_->schema().type(col) == layout::ColumnType::kChar) {
-            v = static_cast<double>(readers.at(col).GetKey(row) & 0xffff);
-          } else {
-            v = readers.at(col).GetNumeric(row);
-          }
-          result.projection_checksum += v;
-          memory->CpuWork(cost_.arith_cycles);
-        }
-        continue;
-      }
-      std::vector<AggState>* states = &flat_aggs;
-      if (grouped) {
-        GroupKey key;
-        key.size = static_cast<uint32_t>(query.group_by.size());
-        for (uint32_t i = 0; i < key.size; ++i) {
-          key.values[i] = readers.at(query.group_by[i]).GetKey(row);
-        }
-        memory->CpuWork(cost_.group_hash_cycles);
-        states = &groups
-                      .try_emplace(key, std::vector<AggState>(
-                                            query.aggregates.size()))
-                      .first->second;
-      }
-      for (size_t a = 0; a < query.aggregates.size(); ++a) {
-        const AggSpec& spec = query.aggregates[a];
-        double v = 0;
-        if (spec.expr >= 0) {
-          v = query.exprs.Eval(spec.expr, col_fn);
-          memory->CpuWork(cost_.arith_cycles *
-                          query.exprs.OpCount(spec.expr));
-        }
-        (*states)[a].Update(v);
-        memory->CpuWork(cost_.agg_update_cycles);
-      }
+      sink.Consume(
+          [&](uint32_t col) { return readers.at(col).GetNumeric(row); },
+          [&](uint32_t col) { return readers.at(col).GetKey(row); });
     }
   }
 
-  if (prof_ != nullptr) {
-    prof_->Finish();
-    uint64_t out = result.rows_matched;
-    if (!query.aggregates.empty()) out = grouped ? groups.size() : 1;
-    prof_->op(op_sink).rows_out = out;
-  }
-  FinalizeAggregates(query, flat_aggs, groups, &result);
+  sink.Finish(&result);
   result.sim_cycles = memory->ElapsedCycles();
   return result;
 }
@@ -278,91 +192,42 @@ StatusOr<QueryResult> VectorEngine::ExecuteColumnAtATime(
       for (uint64_t row = 0; row < n; ++row) {
         const double v = reader.GetNumeric(row);
         memory->CpuWork(cost_.compare_cycles);
-        if (Compare(v, p)) next.push_back(row);
+        if (p.Matches(v)) next.push_back(row);
       }
     } else {
       next.reserve(positions.size());
       for (uint64_t row : positions) {
         const double v = reader.GetNumeric(row);
         memory->CpuWork(cost_.compare_cycles);
-        if (Compare(v, p)) next.push_back(row);
+        if (p.Matches(v)) next.push_back(row);
       }
     }
     positions = std::move(next);
     if (prof_ != nullptr) prof_->op(op_select).rows_out = positions.size();
   }
-  result.rows_matched = positions.size();
 
   // Aggregation/projection pass over qualifying positions; the output
   // columns advance in lockstep here, like the fused engine.
-  const bool grouped = !query.group_by.empty();
-  const uint32_t out_fields = OutputFieldCount(query);
-  std::vector<AggState> flat_aggs(query.aggregates.size());
-  std::map<GroupKey, std::vector<AggState>> groups;
-  uint64_t current_row = 0;
-  const auto col_fn = [&](uint32_t col) {
-    return readers.at(col).GetNumeric(current_row);
-  };
-  int op_sink = -1;
+  AggSink sink(query, table_->schema(), memory, cost_, prof_);
   if (prof_ != nullptr) {
-    op_sink =
-        prof_->AddOp(query.aggregates.empty() ? "Project" : "Aggregate");
-    prof_->op(op_sink).rows_in = positions.size();
-    prof_->Switch(op_sink);
+    prof_->op(sink.op()).rows_in = positions.size();
+    prof_->Switch(sink.op());
   }
   memory->CpuWork(cost_.batch_overhead_cycles *
                   (static_cast<double>(positions.size()) / cost_.batch_rows +
                    1));
+  const uint32_t out_fields =
+      static_cast<uint32_t>(query.OutputColumns(table_->schema()).size());
   for (uint64_t row : positions) {
-    current_row = row;
     if (out_fields > 1) {
       memory->CpuWork(cost_.reconstruct_field_cycles * out_fields);
     }
-    if (query.aggregates.empty()) {
-      for (uint32_t col : query.projection) {
-        double v;
-        if (table_->schema().type(col) == layout::ColumnType::kChar) {
-          v = static_cast<double>(readers.at(col).GetKey(row) & 0xffff);
-        } else {
-          v = readers.at(col).GetNumeric(row);
-        }
-        result.projection_checksum += v;
-        memory->CpuWork(cost_.arith_cycles);
-      }
-      continue;
-    }
-    std::vector<AggState>* states = &flat_aggs;
-    if (grouped) {
-      GroupKey key;
-      key.size = static_cast<uint32_t>(query.group_by.size());
-      for (uint32_t i = 0; i < key.size; ++i) {
-        key.values[i] = readers.at(query.group_by[i]).GetKey(row);
-      }
-      memory->CpuWork(cost_.group_hash_cycles);
-      states = &groups
-                    .try_emplace(key, std::vector<AggState>(
-                                          query.aggregates.size()))
-                    .first->second;
-    }
-    for (size_t a = 0; a < query.aggregates.size(); ++a) {
-      const AggSpec& spec = query.aggregates[a];
-      double v = 0;
-      if (spec.expr >= 0) {
-        v = query.exprs.Eval(spec.expr, col_fn);
-        memory->CpuWork(cost_.arith_cycles * query.exprs.OpCount(spec.expr));
-      }
-      (*states)[a].Update(v);
-      memory->CpuWork(cost_.agg_update_cycles);
-    }
+    sink.Consume(
+        [&](uint32_t col) { return readers.at(col).GetNumeric(row); },
+        [&](uint32_t col) { return readers.at(col).GetKey(row); });
   }
 
-  if (prof_ != nullptr) {
-    prof_->Finish();
-    uint64_t out = result.rows_matched;
-    if (!query.aggregates.empty()) out = grouped ? groups.size() : 1;
-    prof_->op(op_sink).rows_out = out;
-  }
-  FinalizeAggregates(query, flat_aggs, groups, &result);
+  sink.Finish(&result);
   result.sim_cycles = memory->ElapsedCycles();
   return result;
 }

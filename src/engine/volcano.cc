@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 
+#include "engine/agg_sink.h"
 #include "sim/memory_system.h"
 
 namespace relfab::engine {
@@ -94,6 +94,20 @@ class RowFieldReader {
   uint64_t pending_touches_ = 0;
 };
 
+/// Evaluates the conjuncts of `predicates` on `row`. A tuple-at-a-time
+/// interpreter short-circuits at the first failing term (unlike the
+/// vectorized engines, which evaluate predicate columns in full).
+bool Qualifies(const std::vector<Predicate>& predicates, uint64_t row,
+               RowFieldReader* reader, sim::MemorySystem* memory,
+               const CostModel& cost) {
+  for (const Predicate& p : predicates) {
+    const double v = reader->GetNumeric(row, p.column);
+    memory->CpuWork(cost.compare_cycles);
+    if (!p.Matches(v)) return false;
+  }
+  return true;
+}
+
 /// Volcano iterator interface: produces row ids one at a time.
 class TupleSource {
  public:
@@ -115,17 +129,19 @@ class ScanOperator : public TupleSource {
     // Materialization is charged per *chunk* of rows instead of per row:
     // one maximal demand Read over the chunk's line span (which the fast
     // path collapses to a closed-form covered run) plus a counted charge
-    // for the row-boundary lines the per-row replay would re-hit. The
-    // chunk is capped at one L1 set's worth of lines so every chunk line
-    // is still the MRU of its cache set when the consumer reads the
-    // row's fields (the ReadL1Resident/ChargeMruHits precondition).
+    // for the row-boundary lines the per-row replay would re-hit. A
+    // chunk holds at most SimParams::l1_mru_span_bytes() of rows, so
+    // whatever line offset it starts at it spans at most l1_sets()
+    // lines, each in its own set: every chunk line is still the MRU of
+    // its set when the consumer reads the row's fields (the
+    // ReadL1Resident/ChargeMruHits precondition). Only a single row
+    // wider than the bound breaks it.
     const uint64_t row_bytes = table->row_bytes();
-    const uint64_t span_lines = memory->params().l1_sets();
     chunk_rows_ = row_bytes == 0
                       ? 1
-                      : (span_lines * memory->params().cache_line_bytes) /
-                            row_bytes;
-    if (chunk_rows_ == 0) chunk_rows_ = 1;
+                      : std::max<uint64_t>(
+                            1, memory->params().l1_mru_span_bytes() /
+                                   row_bytes);
   }
 
   bool Next(uint64_t* row) override {
@@ -218,7 +234,7 @@ class FilterOperator : public TupleSource {
         ++prof_->op(op_).rows_in;
       }
       memory_->CpuWork(cost_->volcano_next_cycles);
-      if (Qualifies(*row)) {
+      if (Qualifies(*predicates_, *row, reader_, memory_, *cost_)) {
         if (prof_ != nullptr) ++prof_->op(op_).rows_out;
         return true;
       }
@@ -227,39 +243,6 @@ class FilterOperator : public TupleSource {
   }
 
  private:
-  // Conjuncts short-circuit: a tuple-at-a-time interpreter stops at the
-  // first failing term (unlike the vectorized engines, which evaluate
-  // predicate columns in full).
-  bool Qualifies(uint64_t row) {
-    for (const Predicate& p : *predicates_) {
-      const double v = reader_->GetNumeric(row, p.column);
-      memory_->CpuWork(cost_->compare_cycles);
-      bool pass = false;
-      switch (p.op) {
-        case CompareOp::kLt:
-          pass = v < p.double_operand;
-          break;
-        case CompareOp::kLe:
-          pass = v <= p.double_operand;
-          break;
-        case CompareOp::kGt:
-          pass = v > p.double_operand;
-          break;
-        case CompareOp::kGe:
-          pass = v >= p.double_operand;
-          break;
-        case CompareOp::kEq:
-          pass = v == p.double_operand;
-          break;
-        case CompareOp::kNe:
-          pass = v != p.double_operand;
-          break;
-      }
-      if (!pass) return false;
-    }
-    return true;
-  }
-
   TupleSource* child_;
   const std::vector<Predicate>* predicates_;
   RowFieldReader* reader_;
@@ -269,17 +252,6 @@ class FilterOperator : public TupleSource {
   int op_;
 };
 
-/// Sink rows_out: a projection emits every matched row; an ungrouped
-/// aggregate emits one row; a grouped aggregate one row per group.
-void OpStatsRowsOut(obs::OpProfiler* prof, int op, const QuerySpec& query,
-                    uint64_t rows_matched, size_t num_groups) {
-  uint64_t out = rows_matched;
-  if (!query.aggregates.empty()) {
-    out = query.group_by.empty() ? 1 : num_groups;
-  }
-  prof->op(op).rows_out = out;
-}
-
 }  // namespace
 
 StatusOr<QueryResult> VolcanoEngine::Execute(const QuerySpec& query) {
@@ -288,14 +260,13 @@ StatusOr<QueryResult> VolcanoEngine::Execute(const QuerySpec& query) {
   RowFieldReader reader(table_, &cost_, /*rows_materialized=*/true,
                         /*batch_charges=*/prof_ == nullptr);
 
-  int op_scan = -1, op_filter = -1, op_sink = -1;
+  int op_scan = -1, op_filter = -1;
   if (prof_ != nullptr) {
     op_scan = prof_->AddOp("Scan");
     prof_->op(op_scan).rows_in = table_->num_rows();
     if (!query.predicates.empty()) op_filter = prof_->AddOp("Filter");
-    op_sink =
-        prof_->AddOp(query.aggregates.empty() ? "Project" : "Aggregate");
   }
+  AggSink sink(query, table_->schema(), memory, cost_, prof_);
 
   ScanOperator scan(table_, memory, &cost_, prof_, op_scan);
   FilterOperator filter(&scan, &query.predicates, &reader, memory, &cost_,
@@ -306,69 +277,14 @@ StatusOr<QueryResult> VolcanoEngine::Execute(const QuerySpec& query) {
 
   QueryResult result;
   result.rows_scanned = table_->num_rows();
-
-  const bool grouped = !query.group_by.empty();
-  std::vector<AggState> flat_aggs(query.aggregates.size());
-  std::map<GroupKey, std::vector<AggState>> groups;
-  uint64_t current_row = 0;
-  const auto col_fn = [&](uint32_t col) {
-    return reader.GetNumeric(current_row, col);
-  };
-
   uint64_t row = 0;
   while (top->Next(&row)) {
-    if (prof_ != nullptr) {
-      prof_->Switch(op_sink);
-      ++prof_->op(op_sink).rows_in;
-    }
-    ++result.rows_matched;
-    current_row = row;
-    if (query.aggregates.empty()) {
-      // Pure projection: fold projected values into the checksum.
-      for (uint32_t col : query.projection) {
-        double v;
-        if (table_->schema().type(col) == layout::ColumnType::kChar) {
-          v = static_cast<double>(reader.GetKey(row, col) & 0xffff);
-        } else {
-          v = reader.GetNumeric(row, col);
-        }
-        result.projection_checksum += v;
-        memory->CpuWork(cost_.arith_cycles);
-      }
-      continue;
-    }
-    std::vector<AggState>* states = &flat_aggs;
-    if (grouped) {
-      GroupKey key;
-      key.size = static_cast<uint32_t>(query.group_by.size());
-      for (uint32_t i = 0; i < key.size; ++i) {
-        key.values[i] = reader.GetKey(row, query.group_by[i]);
-      }
-      memory->CpuWork(cost_.group_hash_cycles);
-      auto it = groups
-                    .try_emplace(key,
-                                 std::vector<AggState>(query.aggregates.size()))
-                    .first;
-      states = &it->second;
-    }
-    for (size_t a = 0; a < query.aggregates.size(); ++a) {
-      const AggSpec& spec = query.aggregates[a];
-      double v = 0;
-      if (spec.expr >= 0) {
-        v = query.exprs.Eval(spec.expr, col_fn);
-        memory->CpuWork(cost_.arith_cycles * query.exprs.OpCount(spec.expr));
-      }
-      (*states)[a].Update(v);
-      memory->CpuWork(cost_.agg_update_cycles);
-    }
+    sink.Enter();
+    sink.Consume([&](uint32_t col) { return reader.GetNumeric(row, col); },
+                 [&](uint32_t col) { return reader.GetKey(row, col); });
   }
 
-  if (prof_ != nullptr) {
-    prof_->Finish();
-    OpStatsRowsOut(prof_, op_sink, query, result.rows_matched,
-                   grouped ? groups.size() : 0);
-  }
-  FinalizeAggregates(query, flat_aggs, groups, &result);
+  sink.Finish(&result);
   reader.FlushCharges();
   result.sim_cycles = memory->ElapsedCycles();
   return result;
@@ -381,115 +297,31 @@ StatusOr<QueryResult> VolcanoEngine::ExecuteOnRowIds(
   RowFieldReader reader(table_, &cost_, /*rows_materialized=*/false,
                         /*batch_charges=*/false);
 
-  int op_fetch = -1, op_sink = -1;
+  int op_fetch = -1;
   if (prof_ != nullptr) {
     // The candidate loop fetches + filters in one pass; model it as one
     // "IndexFetch" operator feeding the aggregate/projection sink.
     op_fetch = prof_->AddOp("IndexFetch");
     prof_->op(op_fetch).rows_in = rows.size();
-    op_sink =
-        prof_->AddOp(query.aggregates.empty() ? "Project" : "Aggregate");
   }
+  AggSink sink(query, table_->schema(), memory, cost_, prof_);
 
   QueryResult result;
   result.rows_scanned = rows.size();
-
-  const bool grouped = !query.group_by.empty();
-  std::vector<AggState> flat_aggs(query.aggregates.size());
-  std::map<GroupKey, std::vector<AggState>> groups;
-  uint64_t current_row = 0;
-  const auto col_fn = [&](uint32_t col) {
-    return reader.GetNumeric(current_row, col);
-  };
-
   for (uint64_t row : rows) {
     if (row >= table_->num_rows()) {
       return Status::OutOfRange("candidate row out of range");
     }
     if (prof_ != nullptr) prof_->Switch(op_fetch);
     memory->CpuWork(cost_.volcano_next_cycles);
-    bool pass = true;
-    for (const Predicate& p : query.predicates) {
-      const double v = reader.GetNumeric(row, p.column);
-      memory->CpuWork(cost_.compare_cycles);
-      bool term = false;
-      switch (p.op) {
-        case CompareOp::kLt:
-          term = v < p.double_operand;
-          break;
-        case CompareOp::kLe:
-          term = v <= p.double_operand;
-          break;
-        case CompareOp::kGt:
-          term = v > p.double_operand;
-          break;
-        case CompareOp::kGe:
-          term = v >= p.double_operand;
-          break;
-        case CompareOp::kEq:
-          term = v == p.double_operand;
-          break;
-        case CompareOp::kNe:
-          term = v != p.double_operand;
-          break;
-      }
-      if (!term) {
-        pass = false;
-        break;
-      }
-    }
-    if (!pass) continue;
-    if (prof_ != nullptr) {
-      ++prof_->op(op_fetch).rows_out;
-      prof_->Switch(op_sink);
-      ++prof_->op(op_sink).rows_in;
-    }
-    ++result.rows_matched;
-    current_row = row;
-    if (query.aggregates.empty()) {
-      for (uint32_t col : query.projection) {
-        double v;
-        if (table_->schema().type(col) == layout::ColumnType::kChar) {
-          v = static_cast<double>(reader.GetKey(row, col) & 0xffff);
-        } else {
-          v = reader.GetNumeric(row, col);
-        }
-        result.projection_checksum += v;
-        memory->CpuWork(cost_.arith_cycles);
-      }
-      continue;
-    }
-    std::vector<AggState>* states = &flat_aggs;
-    if (grouped) {
-      GroupKey key;
-      key.size = static_cast<uint32_t>(query.group_by.size());
-      for (uint32_t i = 0; i < key.size; ++i) {
-        key.values[i] = reader.GetKey(row, query.group_by[i]);
-      }
-      memory->CpuWork(cost_.group_hash_cycles);
-      states = &groups
-                    .try_emplace(key, std::vector<AggState>(
-                                          query.aggregates.size()))
-                    .first->second;
-    }
-    for (size_t a = 0; a < query.aggregates.size(); ++a) {
-      const AggSpec& spec = query.aggregates[a];
-      double v = 0;
-      if (spec.expr >= 0) {
-        v = query.exprs.Eval(spec.expr, col_fn);
-        memory->CpuWork(cost_.arith_cycles * query.exprs.OpCount(spec.expr));
-      }
-      (*states)[a].Update(v);
-      memory->CpuWork(cost_.agg_update_cycles);
-    }
+    if (!Qualifies(query.predicates, row, &reader, memory, cost_)) continue;
+    if (prof_ != nullptr) ++prof_->op(op_fetch).rows_out;
+    sink.Enter();
+    sink.Consume([&](uint32_t col) { return reader.GetNumeric(row, col); },
+                 [&](uint32_t col) { return reader.GetKey(row, col); });
   }
 
-  if (prof_ != nullptr) {
-    prof_->Finish();
-    OpStatsRowsOut(prof_, op_sink, query, result.rows_matched,
-                   grouped ? groups.size() : 0);
-  }
-  FinalizeAggregates(query, flat_aggs, groups, &result);
+  sink.Finish(&result);
   result.sim_cycles = memory->ElapsedCycles();
   return result;
 }

@@ -142,6 +142,7 @@ class Span {
     event_.args.emplace_back(key, std::move(value));
   }
   void AddArg(const std::string& key, uint64_t value) {
+    if (tracer_ == nullptr) return;
     AddArg(key, std::to_string(value));
   }
 

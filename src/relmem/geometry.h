@@ -41,6 +41,28 @@ struct HwPredicate {
   static HwPredicate Double(uint32_t column, CompareOp op, double operand) {
     return HwPredicate{column, op, static_cast<int64_t>(operand), operand};
   }
+
+  /// `value <op> double_operand`: the one predicate compare. The software
+  /// engines, the fabric and relational storage all evaluate conjuncts
+  /// through it, so pushing a predicate down never changes an answer. A
+  /// double compare is exact for every integer below 2^53.
+  bool Matches(double value) const {
+    switch (op) {
+      case CompareOp::kLt:
+        return value < double_operand;
+      case CompareOp::kLe:
+        return value <= double_operand;
+      case CompareOp::kGt:
+        return value > double_operand;
+      case CompareOp::kGe:
+        return value >= double_operand;
+      case CompareOp::kEq:
+        return value == double_operand;
+      case CompareOp::kNe:
+        return value != double_operand;
+    }
+    return false;
+  }
 };
 
 /// Snapshot visibility filter for MVCC (§III-C): the fabric compares the

@@ -7,30 +7,6 @@ namespace relfab::relmem {
 
 namespace {
 
-/// Evaluates one hardware predicate conjunct against a row. Comparison
-/// semantics deliberately match the software engines (double compare;
-/// exact for all integer values below 2^53) so that pushing a predicate
-/// into the fabric never changes the query's answer.
-bool EvalPredicate(const layout::RowTable& table, const HwPredicate& p,
-                   uint64_t row) {
-  const double v = table.GetDouble(row, p.column);
-  switch (p.op) {
-    case CompareOp::kLt:
-      return v < p.double_operand;
-    case CompareOp::kLe:
-      return v <= p.double_operand;
-    case CompareOp::kGt:
-      return v > p.double_operand;
-    case CompareOp::kGe:
-      return v >= p.double_operand;
-    case CompareOp::kEq:
-      return v == p.double_operand;
-    case CompareOp::kNe:
-      return v != p.double_operand;
-  }
-  return false;
-}
-
 /// Accumulates a gather loop's deduplicated line stream into maximal
 /// consecutive runs and charges each run through
 /// MemorySystem::GatherRun instead of per-line GatherLine calls.
@@ -96,7 +72,7 @@ bool RmEngine::RowQualifies(const layout::RowTable& table, const Geometry& g,
     if (end_ts != 0 && end_ts <= g.visibility.read_ts) return false;
   }
   for (const HwPredicate& p : g.predicates) {
-    if (!EvalPredicate(table, p, row)) return false;
+    if (!p.Matches(table.GetDouble(row, p.column))) return false;
   }
   return true;
 }

@@ -6,30 +6,6 @@
 
 namespace relfab::relstorage {
 
-namespace {
-
-bool EvalPredicate(const StorageTable& table, const relmem::HwPredicate& p,
-                   uint64_t row) {
-  const double v = table.GetDouble(row, p.column);
-  switch (p.op) {
-    case relmem::CompareOp::kLt:
-      return v < p.double_operand;
-    case relmem::CompareOp::kLe:
-      return v <= p.double_operand;
-    case relmem::CompareOp::kGt:
-      return v > p.double_operand;
-    case relmem::CompareOp::kGe:
-      return v >= p.double_operand;
-    case relmem::CompareOp::kEq:
-      return v == p.double_operand;
-    case relmem::CompareOp::kNe:
-      return v != p.double_operand;
-  }
-  return false;
-}
-
-}  // namespace
-
 void RsEngine::EmitScanEvent(const char* name, const ScanResult& result) {
   if (tracer_ == nullptr || !tracer_->enabled()) return;
   obs::Tracer::Event event;
@@ -89,7 +65,7 @@ void RsEngine::RunScan(const StorageTable& table,
     *decode_cost_total += decode_per_row;
     bool pass = true;
     for (const relmem::HwPredicate& p : geometry.predicates) {
-      if (!EvalPredicate(table, p, row)) {
+      if (!p.Matches(table.GetDouble(row, p.column))) {
         pass = false;
         break;
       }

@@ -200,8 +200,13 @@ class MemorySystem {
   /// materialized). Mode-independent by construction: both paths charge
   /// through AddRepeated (bit-identical to the scalar replay) and skip
   /// the LRU touch, which is exact for a line already holding its set's
-  /// newest stamp. Pair with DebugCheckMruResident in debug builds to
-  /// validate the precondition.
+  /// newest stamp.
+  ///
+  /// Precondition, exactly: each of the `n` lines is in L1 and holds its
+  /// set's newest stamp. Every line of one demand Read of at most
+  /// SimParams::l1_mru_span_bytes() meets it until another line of its
+  /// set is touched — the bound the volcano scan chunks its rows by.
+  /// Pair with DebugCheckMruResident in debug builds to validate it.
   void ChargeMruHits(uint64_t n) {
     if (n == 0) return;
     AddRepeated(&cpu_cycles_, params_.l1_hit_cycles, n);

@@ -131,6 +131,16 @@ struct SimParams {
   uint32_t l1_sets() const {
     return l1_bytes / (cache_line_bytes * l1_ways);
   }
+  /// Bytes one demand Read may cover, from any start offset, and still
+  /// leave every line it touched the MRU of its L1 set: l1_sets() - 1
+  /// lines' worth. However it is aligned, such a range spans at most
+  /// l1_sets() consecutive lines, which map to distinct sets. A whole
+  /// l1_sets() lines' worth spans l1_sets() + 1 lines unless it starts
+  /// on a line boundary, and its last line takes over its first line's
+  /// set.
+  uint64_t l1_mru_span_bytes() const {
+    return static_cast<uint64_t>(l1_sets() - 1) * cache_line_bytes;
+  }
   uint32_t l2_sets() const {
     return l2_bytes / (cache_line_bytes * l2_ways);
   }

@@ -268,31 +268,47 @@ TEST_F(QueryTest, SqlGroupByProducesSortedGroups) {
 
 TEST_F(QueryTest, AllBackendsAgreeOnSql) {
   ASSERT_TRUE(fabric_.MaterializeColumnarCopy("orders").ok());
-  Parser parser(&fabric_.catalog());
-  auto parsed = parser.Parse(
-      "SELECT SUM(price), MIN(qty), MAX(qty) FROM orders WHERE id < 1500");
-  ASSERT_TRUE(parsed.ok());
-  auto plan = fabric_.ExplainSql(
-      "SELECT SUM(price), MIN(qty), MAX(qty) FROM orders WHERE id < 1500");
-  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(fabric_.CreateIndex("orders", "id").ok());
   Executor executor(&fabric_.catalog(), &fabric_.rm(), fabric_.cost_model());
-  engine::QueryResult reference;
-  bool first = true;
-  for (Backend backend : {Backend::kRow, Backend::kColumn,
-                          Backend::kRelationalMemory}) {
-    Plan probe = *plan;
-    probe.backend = backend;
+  const auto run = [&](const std::string& sql,
+                       Backend backend) -> StatusOr<engine::QueryResult> {
+    RELFAB_ASSIGN_OR_RETURN(Plan plan, fabric_.ExplainSql(sql));
+    plan.backend = backend;
     fabric_.memory().ResetState();
-    auto result = executor.Execute(probe);
-    ASSERT_TRUE(result.ok());
-    if (first) {
-      reference = *result;
-      first = false;
-    } else {
-      EXPECT_TRUE(reference.SameAnswer(*result))
-          << BackendToString(backend);
-    }
+    return executor.Execute(plan);
+  };
+  const Backend scans[] = {Backend::kRow, Backend::kColumn,
+                           Backend::kRelationalMemory, Backend::kHybrid};
+  const std::string sql =
+      "SELECT SUM(price), MIN(qty), MAX(qty) FROM orders WHERE id < 1500";
+  auto reference = run(sql, Backend::kRow);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (Backend backend : scans) {
+    auto result = run(sql, backend);
+    ASSERT_TRUE(result.ok()) << BackendToString(backend);
+    EXPECT_TRUE(reference->SameAnswer(*result)) << BackendToString(backend);
   }
+
+  // When no row matches, every aggregate is 0 on every path — MIN, MAX
+  // and AVG included (AggState::Final) — and so is an index probe for a
+  // key the table does not hold.
+  const std::vector<double> zeros(5, 0.0);
+  for (Backend backend : scans) {
+    auto result = run(
+        "SELECT COUNT(*), SUM(price), MIN(qty), MAX(qty), AVG(price) FROM "
+        "orders WHERE qty > 100",
+        backend);
+    ASSERT_TRUE(result.ok()) << BackendToString(backend);
+    EXPECT_EQ(result->rows_matched, 0u) << BackendToString(backend);
+    EXPECT_EQ(result->aggregates, zeros) << BackendToString(backend);
+  }
+  auto missing = run(
+      "SELECT COUNT(*), SUM(price), MIN(qty), MAX(qty), AVG(price) FROM "
+      "orders WHERE id = 5000",
+      Backend::kIndex);
+  ASSERT_TRUE(missing.ok()) << missing.status().ToString();
+  EXPECT_EQ(missing->rows_matched, 0u);
+  EXPECT_EQ(missing->aggregates, zeros);
 }
 
 }  // namespace

@@ -226,9 +226,21 @@ TEST_F(ShardExecTest, AggregatesMatchFlatReference) {
   ExpectMatchesFlat("SELECT SUM(v * 2 + 1) FROM $T WHERE k >= 1500");
   // A range matching a single row.
   ExpectMatchesFlat("SELECT SUM(v) FROM $T WHERE k >= 2000 AND k < 2001");
-  // A range matching nothing (but scanning one shard).
-  ExpectMatchesFlat("SELECT COUNT(*), MAX(v) FROM $T WHERE k >= 900 AND "
-                    "k < 950 AND v > 1000");
+  // A range matching nothing (but scanning one shard): the shard merge
+  // applies the empty-aggregate rule again, so all five are 0 on both
+  // per-shard scan paths.
+  const std::string none =
+      "SELECT COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v) FROM $T WHERE "
+      "k >= 900 AND k < 950 AND v > 1000";
+  for (const exec::Backend backend :
+       {exec::Backend::kRow, exec::Backend::kRelationalMemory}) {
+    SCOPED_TRACE(exec::BackendToString(backend));
+    ExpectMatchesFlat(none, {.forced_backend = backend});
+    auto sharded =
+        fabric_->ExecuteSql(Substitute(none, "m"), {.forced_backend = backend});
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    EXPECT_EQ(sharded->result.aggregates, std::vector<double>(5, 0.0));
+  }
 }
 
 TEST_F(ShardExecTest, GroupByMergesAcrossShards) {

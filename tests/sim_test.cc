@@ -384,6 +384,37 @@ TEST(MemorySystemTest, StatsAccumulateAndPrint) {
   EXPECT_EQ(sum.l1_misses, 16u);
 }
 
+// The volcano scan chunks its rows by SimParams::l1_mru_span_bytes(), so
+// its counted L1 hits rely on this: one demand Read of that many bytes,
+// from any offset within a line, leaves every line it touched the MRU
+// of its set. A whole l1_sets() lines' worth does not. Both simulator
+// modes must agree.
+TEST(MemorySystemTest, MruSpanBoundHoldsAtEveryLineOffset) {
+  const SimParams params = SimParams::ZynqA53Defaults();
+  const uint64_t bound = params.l1_mru_span_bytes();
+  const uint64_t all_sets =
+      uint64_t{params.l1_sets()} * params.cache_line_bytes;
+  for (const bool fast_path : {true, false}) {
+    SCOPED_TRACE(fast_path ? "fast path" : "reference path");
+    bool all_sets_broke = false;
+    for (uint64_t offset = 0; offset < params.cache_line_bytes; ++offset) {
+      for (const uint64_t bytes : {bound, all_sets}) {
+        MemorySystem mem(params);
+        mem.set_fast_path(fast_path);
+        const uint64_t addr = mem.Allocate(2 * all_sets) + offset;
+        mem.Read(addr, bytes);
+        const bool mru = mem.DebugCheckMruResident(addr, bytes);
+        if (bytes == bound) {
+          EXPECT_TRUE(mru) << "offset " << offset;
+        } else {
+          all_sets_broke = all_sets_broke || !mru;
+        }
+      }
+    }
+    EXPECT_TRUE(all_sets_broke);
+  }
+}
+
 TEST(SequentialReaderTest, ChargesOncePerLine) {
   MemorySystem mem;
   const uint64_t addr = mem.Allocate(64 * 4);
