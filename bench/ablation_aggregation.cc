@@ -49,9 +49,7 @@ struct Rig {
   uint64_t RunCpu(uint32_t k) {
     memory.ResetState();
     engine::RmExecEngine eng(table.get(), rm.get());
-    const uint64_t c = eng.Execute(SumQuery(k))->sim_cycles;
-    NoteSimLines(memory);
-    return c;
+    return eng.Execute(SumQuery(k))->sim_cycles;
   }
   uint64_t RunFabric(uint32_t k) {
     memory.ResetState();
@@ -63,15 +61,12 @@ struct Rig {
     auto result = rm->AggregateInFabric(*table, g, aggs);
     RELFAB_CHECK(result.ok());
     DoNotOptimize(result->values[0]);
-    NoteSimLines(memory);
     return memory.ElapsedCycles();
   }
   uint64_t RunRow(uint32_t k) {
     memory.ResetState();
     engine::VolcanoEngine eng(table.get());
-    const uint64_t c = eng.Execute(SumQuery(k))->sim_cycles;
-    NoteSimLines(memory);
-    return c;
+    return eng.Execute(SumQuery(k))->sim_cycles;
   }
 
   sim::MemorySystem memory;

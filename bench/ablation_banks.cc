@@ -42,9 +42,7 @@ uint64_t RunWithBanks(uint32_t parallelism, uint64_t rows) {
   engine::RmExecEngine eng(&table, &rm);
   engine::QuerySpec spec;
   spec.projection = {0, 32};  // two far-apart columns: 2 lines per row
-  const uint64_t cycles = eng.Execute(spec)->sim_cycles;
-  NoteSimLines(memory);
-  return cycles;
+  return eng.Execute(spec)->sim_cycles;
 }
 
 }  // namespace

@@ -75,7 +75,6 @@ uint64_t RunWorkload(uint32_t capacity, uint32_t layouts_per_query,
     cache.Require(engine::CodeCache::Signature(spec, layout));
   }
   *hit_rate = cache.hit_rate();
-  NoteSimLines(memory);
   return memory.ElapsedCycles();
 }
 

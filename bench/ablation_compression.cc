@@ -46,7 +46,6 @@ uint64_t ModelScan(uint64_t n, uint64_t encoded_bytes, double decode_cost) {
   const double consume =
       out_lines * p.fabric_read_cycles + static_cast<double>(n) * 2.1;
   memory.Stall(std::max(produce, consume));
-  NoteSimLines(memory);
   return memory.ElapsedCycles();
 }
 

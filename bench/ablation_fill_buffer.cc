@@ -47,7 +47,6 @@ uint64_t RunWithBuffer(uint64_t buffer_bytes, uint64_t rows,
   engine::RmExecEngine eng(&table, &rm);
   const uint64_t cycles = eng.Execute(WideProjection())->sim_cycles;
   *refills = memory.stats().fabric_refills;
-  NoteSimLines(memory);
   return cycles;
 }
 

@@ -75,10 +75,7 @@ int main(int argc, char** argv) {
                            Rig& rig = rigs.Get();
                            rig.memory.ResetState();
                            engine::VolcanoEngine eng(rig.table.get());
-                           const uint64_t c =
-                               eng.Execute(rig.Query(permille))->sim_cycles;
-                           NoteSimLines(rig.memory);
-                           return c;
+                           return eng.Execute(rig.Query(permille))->sim_cycles;
                          });
     RegisterSimBenchmark("hybrid/rm/" + x, &results, "RM", x,
                          [&rigs, permille] {
@@ -86,10 +83,7 @@ int main(int argc, char** argv) {
                            rig.memory.ResetState();
                            engine::RmExecEngine eng(rig.table.get(),
                                                     rig.rm.get());
-                           const uint64_t c =
-                               eng.Execute(rig.Query(permille))->sim_cycles;
-                           NoteSimLines(rig.memory);
-                           return c;
+                           return eng.Execute(rig.Query(permille))->sim_cycles;
                          });
     RegisterSimBenchmark("hybrid/hybrid/" + x, &results, "HYBRID", x,
                          [&rigs, permille] {
@@ -97,10 +91,7 @@ int main(int argc, char** argv) {
                            rig.memory.ResetState();
                            engine::HybridEngine eng(rig.table.get(),
                                                     rig.rm.get());
-                           const uint64_t c =
-                               eng.Execute(rig.Query(permille))->sim_cycles;
-                           NoteSimLines(rig.memory);
-                           return c;
+                           return eng.Execute(rig.Query(permille))->sim_cycles;
                          });
   }
 

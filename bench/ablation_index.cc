@@ -70,25 +70,19 @@ struct Rig {
     memory.ResetState();
     const std::vector<uint64_t> rows = index->Range(lo, hi);
     engine::VolcanoEngine eng(table.get());
-    const uint64_t c = eng.ExecuteOnRowIds(RangeQuery(lo, hi), rows)->sim_cycles;
-    NoteSimLines(memory);
-    return c;
+    return eng.ExecuteOnRowIds(RangeQuery(lo, hi), rows)->sim_cycles;
   }
   uint64_t RunRm(int64_t lo, int64_t hi) {
     memory.ResetState();
     engine::RmExecEngine eng(table.get(), rm.get(),
                              engine::CostModel::A53Defaults(),
                              /*pushdown_selection=*/true);
-    const uint64_t c = eng.Execute(RangeQuery(lo, hi))->sim_cycles;
-    NoteSimLines(memory);
-    return c;
+    return eng.Execute(RangeQuery(lo, hi))->sim_cycles;
   }
   uint64_t RunRow(int64_t lo, int64_t hi) {
     memory.ResetState();
     engine::VolcanoEngine eng(table.get());
-    const uint64_t c = eng.Execute(RangeQuery(lo, hi))->sim_cycles;
-    NoteSimLines(memory);
-    return c;
+    return eng.Execute(RangeQuery(lo, hi))->sim_cycles;
   }
 
   uint64_t num_rows;

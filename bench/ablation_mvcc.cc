@@ -80,7 +80,6 @@ struct Rig {
       }
     }
     DoNotOptimize(sum);
-    NoteSimLines(memory);
     return memory.ElapsedCycles();
   }
 
@@ -101,7 +100,6 @@ struct Rig {
       sum += cur.GetInt(0);
     }
     DoNotOptimize(sum);
-    NoteSimLines(memory);
     return memory.ElapsedCycles();
   }
 

@@ -84,10 +84,7 @@ int main(int argc, char** argv) {
                              Rig& r = rig->Get();
                              r.memory.ResetState();
                              engine::VectorEngine eng(r.columns.get());
-                             const uint64_t c =
-                                 eng.Execute(Projection(k))->sim_cycles;
-                             NoteSimLines(r.memory);
-                             return c;
+                             return eng.Execute(Projection(k))->sim_cycles;
                            });
     }
   }
@@ -103,10 +100,7 @@ int main(int argc, char** argv) {
                              r.memory.ResetState();
                              engine::RmExecEngine eng(r.table.get(),
                                                       r.rm.get());
-                             const uint64_t c =
-                                 eng.Execute(Projection(k))->sim_cycles;
-                             NoteSimLines(r.memory);
-                             return c;
+                             return eng.Execute(Projection(k))->sim_cycles;
                            });
     }
   }

@@ -40,9 +40,7 @@ struct Rig {
     engine::QuerySpec spec;
     for (uint32_t c = 0; c < k; ++c) spec.projection.push_back(c);
     engine::RmExecEngine eng(table.get(), rm.get());
-    const uint64_t c = eng.Execute(spec)->sim_cycles;
-    NoteSimLines(memory);
-    return c;
+    return eng.Execute(spec)->sim_cycles;
   }
 
   sim::MemorySystem memory;

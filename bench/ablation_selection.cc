@@ -136,7 +136,6 @@ int main(int argc, char** argv) {
     }
     RELFAB_CHECK(result.ok()) << cell << ": " << result.status().ToString();
     answers.Record(cell, *result);
-    NoteSimLines(rig.memory);
     return rig.memory.ElapsedCycles();
   };
 

@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
                            Rig& r = rig->Get();
                            r.memory.ResetState();
                            DoNotOptimize(r.matrix->SumColumnDirect(cols / 2));
-                           NoteSimLines(r.memory);
                            return r.memory.ElapsedCycles();
                          });
     RegisterSimBenchmark("tensor/fabric/" + x, &results, "fabric slice", x,
@@ -67,7 +66,6 @@ int main(int argc, char** argv) {
                                                                cols / 2);
                            RELFAB_CHECK(sum.ok());
                            DoNotOptimize(*sum);
-                           NoteSimLines(r.memory);
                            return r.memory.ElapsedCycles();
                          });
   }

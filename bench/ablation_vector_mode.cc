@@ -78,10 +78,7 @@ int main(int argc, char** argv) {
             engine::VectorEngine eng(rig.columns.get(),
                                      engine::CostModel::A53Defaults(),
                                      engine::VectorMode::kFusedLockstep);
-            const uint64_t c =
-                eng.Execute(Query(preds, permille))->sim_cycles;
-            NoteSimLines(rig.memory);
-            return c;
+            return eng.Execute(Query(preds, permille))->sim_cycles;
           });
       RegisterSimBenchmark(
           "vector_mode/caat/" + x, &results, "column-at-a-time", x,
@@ -91,10 +88,7 @@ int main(int argc, char** argv) {
             engine::VectorEngine eng(rig.columns.get(),
                                      engine::CostModel::A53Defaults(),
                                      engine::VectorMode::kColumnAtATime);
-            const uint64_t c =
-                eng.Execute(Query(preds, permille))->sim_cycles;
-            NoteSimLines(rig.memory);
-            return c;
+            return eng.Execute(Query(preds, permille))->sim_cycles;
           });
     }
   }

@@ -3,29 +3,29 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <regex>
+#include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/thread_annotations.h"
 #include "obs/registry.h"
 #include "obs/report.h"
-#include "sim/memory_system.h"
 
 namespace relfab::bench {
-
-/// CPU frequency of the modelled platform; converts simulated cycles to
-/// the wall-clock estimates printed next to cycle counts.
-inline constexpr double kCpuHz = 1.5e9;
 
 /// True when the RELFAB_FULL environment variable asks for paper-scale
 /// data sizes (default: scaled down ~16x so the whole suite runs in
@@ -55,15 +55,6 @@ inline void DoNotOptimize(T const& value) {
 /// on worker scheduling.
 class ResultTable {
  public:
-  /// One filled sweep cell. `host_wall_ms` is the real time the cell's
-  /// simulation took on the host; `sim_lines` is the number of cache
-  /// lines the simulated run touched (0 when the bench did not note it).
-  struct Cell {
-    uint64_t sim_cycles = 0;
-    double host_wall_ms = 0;
-    uint64_t sim_lines = 0;
-  };
-
   explicit ResultTable(std::string title) : title_(std::move(title)) {}
 
   /// Fixes the position of a (series, x) cell in the output order.
@@ -79,18 +70,13 @@ class ResultTable {
     }
   }
 
-  void Add(const std::string& series, const std::string& x, uint64_t cycles,
-           double host_wall_ms = 0, uint64_t sim_lines = 0) {
+  void Add(const std::string& series, const std::string& x, uint64_t cycles) {
     Reserve(series, x);
     MutexLock lock(&mu_);
-    cells_[series][x] = Cell{cycles, host_wall_ms, sim_lines};
+    cells_[series][x] = cycles;
   }
 
   uint64_t Get(const std::string& series, const std::string& x) const {
-    return GetCell(series, x).sim_cycles;
-  }
-
-  Cell GetCell(const std::string& series, const std::string& x) const {
     MutexLock lock(&mu_);
     auto sit = cells_.find(series);
     RELFAB_CHECK(sit != cells_.end() && sit->second.count(x) > 0)
@@ -196,7 +182,7 @@ class ResultTable {
   mutable Mutex mu_;
   std::vector<std::string> series_order_ RELFAB_GUARDED_BY(mu_);
   std::vector<std::string> x_order_ RELFAB_GUARDED_BY(mu_);
-  std::map<std::string, std::map<std::string, Cell>> cells_
+  std::map<std::string, std::map<std::string, uint64_t>> cells_
       RELFAB_GUARDED_BY(mu_);
 };
 
@@ -213,77 +199,95 @@ struct BenchArgs {
   bool list = false;
 };
 
-/// Extracts `--json <path>` / `--json=<path>` from argv. Returns the
-/// path, or "" when the flag is absent. Paths starting with '-' are
-/// rejected: they are almost always a misplaced flag (e.g. `--json
-/// --threads`), and silently creating a file literally named "-foo"
-/// loses the report.
-inline std::string ConsumeJsonFlag(int* argc, char** argv) {
-  std::string path;
+/// Extracts every `--flag V` / `--flag=V` from argv (the last one wins)
+/// and returns V, or nullopt when the flag is absent. A trailing `--flag`
+/// without a value exits 2.
+inline std::optional<std::string> ConsumeValueFlag(int* argc, char** argv,
+                                                   const char* flag) {
+  std::optional<std::string> value;
+  const size_t flag_len = std::strlen(flag);
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < *argc) {
-      path = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      std::fprintf(stderr, "--json requires a path argument\n");
-      std::exit(2);
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      path = argv[i] + 7;
+    if (std::strcmp(argv[i], flag) == 0) {
+      if (i + 1 >= *argc) {
+        std::fprintf(stderr, "%s requires a value\n", flag);
+        std::exit(2);
+      }
+      value = argv[++i];
+    } else if (std::strncmp(argv[i], flag, flag_len) == 0 &&
+               argv[i][flag_len] == '=') {
+      value = argv[i] + flag_len + 1;
     } else {
       argv[out++] = argv[i];
     }
   }
   *argc = out;
+  return value;
+}
+
+/// ConsumeValueFlag for a flag that names an output file; "" when absent.
+/// A path starting with '-' exits 2: it is almost always a misplaced flag
+/// (e.g. `--json --threads`), and silently creating a file literally
+/// named "-foo" loses the output.
+inline std::string ConsumePathFlag(int* argc, char** argv, const char* flag) {
+  std::string path = ConsumeValueFlag(argc, argv, flag).value_or("");
   if (!path.empty() && path[0] == '-') {
     std::fprintf(stderr,
-                 "--json path '%s' starts with '-': looks like a misplaced "
+                 "%s path '%s' starts with '-': looks like a misplaced "
                  "flag, refusing to treat it as a file name\n",
-                 path.c_str());
+                 flag, path.c_str());
     std::exit(2);
   }
   return path;
 }
 
-/// Parses the full harness flag surface (including --json via
-/// ConsumeJsonFlag). Unknown flags are an error so typos fail loudly.
+/// ConsumeValueFlag for a numeric flag: stores the value in `*out` when
+/// the flag is present and leaves `*out` alone otherwise. A value that is
+/// not entirely a number in [lo, hi] exits 2 naming the flag.
+template <typename T>
+void ConsumeNumberFlag(int* argc, char** argv, const char* flag, T* out,
+                       std::type_identity_t<T> lo,
+                       std::type_identity_t<T> hi =
+                           std::numeric_limits<T>::max()) {
+  const std::optional<std::string> text = ConsumeValueFlag(argc, argv, flag);
+  if (!text) return;
+  const char* end = text->data() + text->size();
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text->data(), end, value);
+  // Written as !(in range) so that NaN, which fails both compares, is out.
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    std::ostringstream range;
+    range << '[' << lo << ", " << hi << ']';
+    std::fprintf(stderr, "%s: '%s' is not a number in %s\n", flag,
+                 text->c_str(), range.str().c_str());
+    std::exit(2);
+  }
+  *out = value;
+}
+
+/// Parses the full harness flag surface. Unknown flags and malformed
+/// values exit 2, so typos fail loudly before any cell runs.
 inline BenchArgs ParseBenchArgs(int* argc, char** argv) {
   BenchArgs args;
-  args.json_path = ConsumeJsonFlag(argc, argv);
-  int out = 1;
+  args.json_path = ConsumePathFlag(argc, argv, "--json");
+  ConsumeNumberFlag(argc, argv, "--threads", &args.threads, 1);
+  args.filter = ConsumeValueFlag(argc, argv, "--filter").value_or("");
+  try {
+    // SweepRunner::Run compiles the filter again; this catches a bad
+    // pattern while the flags are read.
+    const std::regex probe(args.filter);
+  } catch (const std::regex_error& e) {
+    std::fprintf(stderr, "--filter: bad regex '%s': %s\n",
+                 args.filter.c_str(), e.what());
+    std::exit(2);
+  }
   for (int i = 1; i < *argc; ++i) {
-    const char* a = argv[i];
-    auto value = [&](const char* flag, const char* inline_prefix,
-                     std::string* dst) -> bool {
-      if (std::strcmp(a, flag) == 0) {
-        if (i + 1 >= *argc) {
-          std::fprintf(stderr, "%s requires an argument\n", flag);
-          std::exit(2);
-        }
-        *dst = argv[++i];
-        return true;
-      }
-      const size_t n = std::strlen(inline_prefix);
-      if (std::strncmp(a, inline_prefix, n) == 0) {
-        *dst = a + n;
-        return true;
-      }
-      return false;
-    };
-    std::string v;
-    if (value("--threads", "--threads=", &v)) {
-      args.threads = std::atoi(v.c_str());
-      if (args.threads < 1) {
-        std::fprintf(stderr, "--threads must be >= 1, got '%s'\n", v.c_str());
-        std::exit(2);
-      }
-    } else if (value("--filter", "--filter=", &args.filter)) {
-    } else if (std::strcmp(a, "--list") == 0) {
+    if (std::strcmp(argv[i], "--list") == 0) {
       args.list = true;
     } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", a);
+      std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
       std::exit(2);
     }
-    (void)out;
   }
   *argc = 1;
   return args;
@@ -345,7 +349,7 @@ class PerWorker {
 /// Because every cell simulates on worker-private state (see PerWorker)
 /// and MemorySystem cells are order-independent after ResetState(), the
 /// simulated cycles of every cell are bit-identical at any --threads
-/// value; only host_wall_ms varies.
+/// value.
 class SweepRunner {
  public:
   struct CellSpec {
@@ -407,17 +411,7 @@ class SweepRunner {
         const size_t pick = next.fetch_add(1);
         if (pick >= selected.size()) break;
         CellSpec& cell = cells_[selected[pick]];
-        // relfab-lint: allow(wall-clock) host_wall_ms measures real host time around the cell; it never feeds simulated cycles
-        const auto t0 = std::chrono::steady_clock::now();
-        last_cell_lines() = 0;
-        const uint64_t cycles = cell.run();
-        const uint64_t lines = last_cell_lines();
-        const double host_ms =
-            std::chrono::duration<double, std::milli>(
-                // relfab-lint: allow(wall-clock) host-domain wall time for the report's host_wall_ms field only
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        cell.table->Add(cell.series, cell.x, cycles, host_ms, lines);
+        cell.table->Add(cell.series, cell.x, cell.run());
         if (selected[pick] == last_index) {
           MutexLock lock(&mu_);
           last_cell_worker_ = slot;
@@ -442,13 +436,6 @@ class SweepRunner {
 
   size_t num_registered() const { return cells_.size(); }
 
-  /// Thread-local count of simulated cache lines the current cell
-  /// touched; set by NoteSimLines inside the cell body.
-  static uint64_t& last_cell_lines() {
-    static thread_local uint64_t lines = 0;
-    return lines;
-  }
-
  private:
   std::vector<CellSpec> cells_;
   Mutex mu_;
@@ -462,20 +449,9 @@ inline SweepRunner& Runner() {
   return runner;
 }
 
-/// Records how many cache lines the simulation behind the current cell
-/// touched (demand + gather), feeding the report's
-/// sim_lines_per_host_sec throughput figure. Call just before returning
-/// from a cell body, after the workload ran.
-inline void NoteSimLines(const sim::MemorySystem& memory) {
-  const sim::MemStats s = memory.stats();
-  SweepRunner::last_cell_lines() =
-      s.l1_hits + s.l1_misses + s.dram_lines_gather;
-}
-
 /// Registers one deterministic simulation point: the lambda runs the
 /// simulated workload once and returns simulated cycles, which become
-/// the table cell. The harness measures the host wall time around the
-/// call and stores it alongside.
+/// the table cell.
 inline void RegisterSimBenchmark(const std::string& name, ResultTable* table,
                                  const std::string& series,
                                  const std::string& x,
@@ -504,9 +480,7 @@ inline void MaybeWriteReport(
   for (const std::string& series : table.series_order()) {
     for (const std::string& x : table.x_order()) {
       if (table.Has(series, x)) {
-        const ResultTable::Cell cell = table.GetCell(series, x);
-        report.AddResult(series, x, cell.sim_cycles, cell.host_wall_ms,
-                         cell.sim_lines);
+        report.AddResult(series, x, table.Get(series, x));
       }
     }
   }

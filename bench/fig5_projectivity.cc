@@ -75,25 +75,19 @@ int main(int argc, char** argv) {
       Rig& rig = rigs.Get();
       rig.memory.ResetState();
       engine::VolcanoEngine eng(&rig.table);
-      const uint64_t cycles = eng.Execute(ProjectionQuery(k))->sim_cycles;
-      NoteSimLines(rig.memory);
-      return cycles;
+      return eng.Execute(ProjectionQuery(k))->sim_cycles;
     });
     RegisterSimBenchmark("fig5/COL/proj:" + x, &results, "COL", x, [&, k] {
       Rig& rig = rigs.Get();
       rig.memory.ResetState();
       engine::VectorEngine eng(&rig.columns);
-      const uint64_t cycles = eng.Execute(ProjectionQuery(k))->sim_cycles;
-      NoteSimLines(rig.memory);
-      return cycles;
+      return eng.Execute(ProjectionQuery(k))->sim_cycles;
     });
     RegisterSimBenchmark("fig5/RM/proj:" + x, &results, "RM", x, [&, k] {
       Rig& rig = rigs.Get();
       rig.memory.ResetState();
       engine::RmExecEngine eng(&rig.table, &rig.rm);
-      const uint64_t cycles = eng.Execute(ProjectionQuery(k))->sim_cycles;
-      NoteSimLines(rig.memory);
-      return cycles;
+      return eng.Execute(ProjectionQuery(k))->sim_cycles;
     });
   }
 

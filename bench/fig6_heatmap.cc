@@ -110,25 +110,19 @@ int main(int argc, char** argv) {
         Rig& rig = rigs.Get();
         rig.memory.ResetState();
         engine::VolcanoEngine eng(&rig.table);
-        const uint64_t c = eng.Execute(GridQuery(p, s))->sim_cycles;
-        NoteSimLines(rig.memory);
-        return c;
+        return eng.Execute(GridQuery(p, s))->sim_cycles;
       });
       RegisterSimBenchmark("fig6/COL/" + x, &results, "COL", x, [&, p, s] {
         Rig& rig = rigs.Get();
         rig.memory.ResetState();
         engine::VectorEngine eng(&rig.columns);
-        const uint64_t c = eng.Execute(GridQuery(p, s))->sim_cycles;
-        NoteSimLines(rig.memory);
-        return c;
+        return eng.Execute(GridQuery(p, s))->sim_cycles;
       });
       RegisterSimBenchmark("fig6/RM/" + x, &results, "RM", x, [&, p, s] {
         Rig& rig = rigs.Get();
         rig.memory.ResetState();
         engine::RmExecEngine eng(&rig.table, &rig.rm);
-        const uint64_t c = eng.Execute(GridQuery(p, s))->sim_cycles;
-        NoteSimLines(rig.memory);
-        return c;
+        return eng.Execute(GridQuery(p, s))->sim_cycles;
       });
     }
   }

@@ -100,25 +100,19 @@ int main(int argc, char** argv) {
         Rig& rig = rigs.Get();
         rig.memory.ResetState();
         engine::VolcanoEngine eng(rig.datasets.at(mib).rows.get());
-        const uint64_t c = eng.Execute(*spec)->sim_cycles;
-        NoteSimLines(rig.memory);
-        return c;
+        return eng.Execute(*spec)->sim_cycles;
       });
       RegisterSimBenchmark(base + "/COL", results, "COL", x, [&, spec, mib] {
         Rig& rig = rigs.Get();
         rig.memory.ResetState();
         engine::VectorEngine eng(rig.datasets.at(mib).columns.get());
-        const uint64_t c = eng.Execute(*spec)->sim_cycles;
-        NoteSimLines(rig.memory);
-        return c;
+        return eng.Execute(*spec)->sim_cycles;
       });
       RegisterSimBenchmark(base + "/RM", results, "RM", x, [&, spec, mib] {
         Rig& rig = rigs.Get();
         rig.memory.ResetState();
         engine::RmExecEngine eng(rig.datasets.at(mib).rows.get(), &rig.rm);
-        const uint64_t c = eng.Execute(*spec)->sim_cycles;
-        NoteSimLines(rig.memory);
-        return c;
+        return eng.Execute(*spec)->sim_cycles;
       });
     }
   }

@@ -27,7 +27,6 @@
 // snapshot under "workload.*"; summarize a --qlog file with
 // tools/analyze_query_log.py (kill outcomes land in "status_code").
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -213,31 +212,7 @@ uint64_t RunSession(int session, const ChaosParams& params,
   out->total_cycles = total_cycles;
   out->deaths = fabric->health().deaths().size();
   out->health = fabric->health().ToString();
-  NoteSimLines(fabric->memory());
   return total_cycles;
-}
-
-/// Strips `--flag <n>` / `--flag=<n>` style custom flags before
-/// ParseBenchArgs (which treats unknown flags as errors).
-std::string ConsumeValueFlag(int* argc, char** argv, const char* flag) {
-  std::string value;
-  const size_t flag_len = std::strlen(flag);
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0 && i + 1 < *argc) {
-      value = argv[++i];
-    } else if (std::strcmp(argv[i], flag) == 0) {
-      std::fprintf(stderr, "%s requires an argument\n", flag);
-      std::exit(2);
-    } else if (std::strncmp(argv[i], flag, flag_len) == 0 &&
-               argv[i][flag_len] == '=') {
-      value = argv[i] + flag_len + 1;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-  return value;
 }
 
 }  // namespace
@@ -251,32 +226,14 @@ int main(int argc, char** argv) {
   params.rows = FullScale() ? 100000 : 20000;
   params.sessions = FullScale() ? 16 : 8;
   params.statements = FullScale() ? 80 : 40;
-  const std::string sessions_flag =
-      ConsumeValueFlag(&argc, argv, "--sessions");
-  if (!sessions_flag.empty()) params.sessions = std::stoi(sessions_flag);
-  const std::string statements_flag =
-      ConsumeValueFlag(&argc, argv, "--statements");
-  if (!statements_flag.empty()) {
-    params.statements = std::stoi(statements_flag);
-  }
-  const std::string replicas_flag =
-      ConsumeValueFlag(&argc, argv, "--replicas");
-  if (!replicas_flag.empty()) {
-    params.replicas = static_cast<uint32_t>(std::stoul(replicas_flag));
-  }
-  const std::string kill_p_flag = ConsumeValueFlag(&argc, argv, "--kill-p");
-  if (!kill_p_flag.empty()) params.kill_p = std::stod(kill_p_flag);
-  const std::string kill_seed_flag =
-      ConsumeValueFlag(&argc, argv, "--kill-seed");
-  if (!kill_seed_flag.empty()) {
-    params.kill_seed = std::stoull(kill_seed_flag);
-  }
-  const std::string deadline_flag =
-      ConsumeValueFlag(&argc, argv, "--deadline-cycles");
-  if (!deadline_flag.empty()) {
-    params.deadline_cycles = std::stoull(deadline_flag);
-  }
-  const std::string qlog_path = ConsumeValueFlag(&argc, argv, "--qlog");
+  ConsumeNumberFlag(&argc, argv, "--sessions", &params.sessions, 0);
+  ConsumeNumberFlag(&argc, argv, "--statements", &params.statements, 0);
+  ConsumeNumberFlag(&argc, argv, "--replicas", &params.replicas, 1);
+  ConsumeNumberFlag(&argc, argv, "--kill-p", &params.kill_p, 0.0, 1.0);
+  ConsumeNumberFlag(&argc, argv, "--kill-seed", &params.kill_seed, 0);
+  ConsumeNumberFlag(&argc, argv, "--deadline-cycles",
+                    &params.deadline_cycles, 0);
+  const std::string qlog_path = ConsumePathFlag(&argc, argv, "--qlog");
   const BenchArgs args = ParseBenchArgs(&argc, argv);
 
   ResultTable results(

@@ -22,7 +22,6 @@
 // under "digest.*"; summarize a --qlog file with
 // tools/analyze_query_log.py.
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -173,31 +172,7 @@ uint64_t RunSession(int session, const WorkloadParams& params,
   out->faults = telemetry.faults_injected();
   out->flight_dumps = telemetry.flight_recorder().dumps();
   out->statements = telemetry.statements();
-  NoteSimLines(fabric->memory());
   return total_cycles;
-}
-
-/// Strips `--flag <n>` / `--flag=<n>` style custom flags before
-/// ParseBenchArgs (which treats unknown flags as errors).
-std::string ConsumeValueFlag(int* argc, char** argv, const char* flag) {
-  std::string value;
-  const size_t flag_len = std::strlen(flag);
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0 && i + 1 < *argc) {
-      value = argv[++i];
-    } else if (std::strcmp(argv[i], flag) == 0) {
-      std::fprintf(stderr, "%s requires an argument\n", flag);
-      std::exit(2);
-    } else if (std::strncmp(argv[i], flag, flag_len) == 0 &&
-               argv[i][flag_len] == '=') {
-      value = argv[i] + flag_len + 1;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-  return value;
 }
 
 }  // namespace
@@ -211,15 +186,9 @@ int main(int argc, char** argv) {
   params.rows = FullScale() ? 100000 : 20000;
   params.sessions = FullScale() ? 16 : 8;
   params.statements = FullScale() ? 60 : 30;
-  const std::string sessions_flag =
-      ConsumeValueFlag(&argc, argv, "--sessions");
-  if (!sessions_flag.empty()) params.sessions = std::stoi(sessions_flag);
-  const std::string statements_flag =
-      ConsumeValueFlag(&argc, argv, "--statements");
-  if (!statements_flag.empty()) {
-    params.statements = std::stoi(statements_flag);
-  }
-  const std::string qlog_path = ConsumeValueFlag(&argc, argv, "--qlog");
+  ConsumeNumberFlag(&argc, argv, "--sessions", &params.sessions, 0);
+  ConsumeNumberFlag(&argc, argv, "--statements", &params.statements, 0);
+  const std::string qlog_path = ConsumePathFlag(&argc, argv, "--qlog");
   const BenchArgs args = ParseBenchArgs(&argc, argv);
 
   ResultTable results("Mixed workload: " +

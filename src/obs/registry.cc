@@ -109,52 +109,6 @@ Json Registry::ToJson() const {
   return doc;
 }
 
-Status Registry::FromJson(const Json& doc) {
-  if (!doc.is_object()) {
-    return Status::InvalidArgument("registry snapshot must be an object");
-  }
-  for (const char* section : {"counters", "gauges", "histograms"}) {
-    if (doc.Has(section) && !doc.at(section).is_object()) {
-      return Status::InvalidArgument(std::string("registry section '") +
-                                     section + "' must be an object");
-    }
-  }
-  for (const auto& [name, v] : doc.at("counters").members()) {
-    if (!v.is_number()) {
-      return Status::InvalidArgument("counter '" + name + "' is not numeric");
-    }
-    counter(name)->Set(v.AsUint());
-  }
-  for (const auto& [name, v] : doc.at("gauges").members()) {
-    if (!v.is_number()) {
-      return Status::InvalidArgument("gauge '" + name + "' is not numeric");
-    }
-    gauge(name)->Set(v.AsNumber());
-  }
-  for (const auto& [name, hj] : doc.at("histograms").members()) {
-    if (!hj.is_object() || !hj.at("buckets").is_array()) {
-      return Status::InvalidArgument("histogram '" + name + "' is malformed");
-    }
-    Histogram* h = histogram(name);
-    *h = Histogram();
-    // Buckets were serialized by lower edge, and a lower edge maps back
-    // to its own bucket, so the bucket array restores exactly. Accepts
-    // both the [lower, upper, count] triple and the legacy
-    // [lower, count] pair layout.
-    for (const Json& entry : hj.at("buckets").items()) {
-      if (!entry.is_array() || entry.size() < 2 || entry.size() > 3) {
-        return Status::InvalidArgument("histogram '" + name +
-                                       "' has a malformed bucket");
-      }
-      h->AddBucketCount(entry.at(0).AsNumber(),
-                        entry.at(entry.size() - 1).AsUint());
-    }
-    h->RestoreMoments(hj.at("sum").AsNumber(), hj.at("min").AsNumber(),
-                      hj.at("max").AsNumber());
-  }
-  return Status::Ok();
-}
-
 std::string Registry::ToTable() const {
   // Single sorted pass over all instrument kinds: each per-kind map is
   // already name-ordered, so a three-way merge keeps the whole dump in

@@ -67,21 +67,6 @@ class Histogram {
   /// Accumulates another histogram's population into this one.
   void Merge(const Histogram& other);
 
-  // --- snapshot restore (Registry::FromJson) ---
-
-  /// Adds `n` observations into the bucket containing `edge_value`
-  /// without touching the moments (count is updated).
-  void AddBucketCount(double edge_value, uint64_t n) {
-    buckets_[BucketFor(edge_value)] += n;
-    count_ += n;
-  }
-  /// Overwrites the exact moments carried alongside the buckets.
-  void RestoreMoments(double sum, double min, double max) {
-    sum_ = sum;
-    min_ = min;
-    max_ = max;
-  }
-
   /// Lower edge of bucket `b` (value v lands in bucket b iff
   /// edge(b) <= v < edge(b+1)).
   static double BucketLowerEdge(uint32_t b);
@@ -145,11 +130,6 @@ class Registry {
   ///                          "buckets": [[lower_edge, upper_edge, count],
   ///                                      ...]}}}
   Json ToJson() const;
-
-  /// Restores counters/gauges/histogram summaries from a ToJson document
-  /// (bucket contents are restored exactly; min/max/sum too). Returns an
-  /// error on malformed input.
-  Status FromJson(const Json& doc);
 
   /// Multi-line human-readable table, grouped by name prefix.
   std::string ToTable() const;

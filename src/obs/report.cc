@@ -6,7 +6,7 @@ namespace relfab::obs {
 
 Json RunReport::ToJson() const {
   Json doc = Json::Object();
-  doc.Set("schema_version", 2);
+  doc.Set("schema_version", 3);
   doc.Set("bench", name_);
   Json config = Json::Object();
   for (const auto& [k, v] : config_) config.Set(k, v);
@@ -17,10 +17,6 @@ Json RunReport::ToJson() const {
     rj.Set("series", r.series);
     rj.Set("x", r.x);
     rj.Set("sim_cycles", r.sim_cycles);
-    rj.Set("host_wall_ms", r.host_wall_ms);
-    if (r.lines_per_sec >= 0) {
-      rj.Set("sim_lines_per_host_sec", r.lines_per_sec);
-    }
     results.Append(std::move(rj));
   }
   doc.Set("results", std::move(results));
@@ -40,51 +36,6 @@ Status RunReport::WriteTo(const std::string& path) const {
     return Status::Internal("short write to report file '" + path + "'");
   }
   return Status::Ok();
-}
-
-Status RunReport::Validate(const Json& doc) {
-  if (!doc.is_object()) {
-    return Status::InvalidArgument("report must be a JSON object");
-  }
-  if (!doc.at("schema_version").is_number() ||
-      doc.at("schema_version").AsUint() != 2) {
-    return Status::InvalidArgument("report schema_version must be 2");
-  }
-  if (!doc.at("bench").is_string() || doc.at("bench").AsString().empty()) {
-    return Status::InvalidArgument("report 'bench' must be a non-empty string");
-  }
-  if (!doc.at("config").is_object()) {
-    return Status::InvalidArgument("report 'config' must be an object");
-  }
-  for (const auto& [k, v] : doc.at("config").members()) {
-    if (!v.is_string()) {
-      return Status::InvalidArgument("config value '" + k +
-                                     "' must be a string");
-    }
-  }
-  if (!doc.at("results").is_array()) {
-    return Status::InvalidArgument("report 'results' must be an array");
-  }
-  for (const Json& r : doc.at("results").items()) {
-    if (!r.is_object() || !r.at("series").is_string() ||
-        !r.at("x").is_string() || !r.at("sim_cycles").is_number() ||
-        !r.at("host_wall_ms").is_number()) {
-      return Status::InvalidArgument(
-          "each result needs string 'series'/'x' and numeric "
-          "'sim_cycles'/'host_wall_ms'");
-    }
-    if (!r.at("sim_lines_per_host_sec").is_null() &&
-        !r.at("sim_lines_per_host_sec").is_number()) {
-      return Status::InvalidArgument(
-          "'sim_lines_per_host_sec' must be numeric when present");
-    }
-  }
-  if (!doc.at("metrics").is_object()) {
-    return Status::InvalidArgument("report 'metrics' must be an object");
-  }
-  // The metrics snapshot must itself be a loadable registry document.
-  Registry probe;
-  return probe.FromJson(doc.at("metrics"));
 }
 
 }  // namespace relfab::obs

@@ -13,9 +13,9 @@
 namespace relfab::obs {
 
 /// Machine-readable record of one bench (or any instrumented) run:
-/// configuration, per-point results and a registry snapshot, emitted as a
-/// single JSON document so the perf trajectory can be collected and
-/// diffed by tooling (see bench/bench_report.schema.json).
+/// configuration, the simulated cycles of every (series, x) point and a
+/// registry snapshot, emitted as a single JSON document so results can be
+/// collected and diffed by tooling (see bench/bench_report.schema.json).
 class RunReport {
  public:
   explicit RunReport(std::string name) : name_(std::move(name)) {}
@@ -28,21 +28,10 @@ class RunReport {
     config_[key] = std::to_string(value);
   }
 
-  /// One measured point: a (series, x) cell with its simulated cycles,
-  /// the host wall-clock time the cell's simulation took, and — when the
-  /// bench noted how many cache lines the cell simulated — the derived
-  /// simulation throughput. `host_wall_ms` is real time and therefore
-  /// machine- and load-dependent; tooling that diffs reports for
-  /// correctness must compare sim_cycles only (tools/compare_bench_json.py
-  /// does exactly that).
+  /// One measured point: a (series, x) cell with its simulated cycles.
   void AddResult(const std::string& series, const std::string& x,
-                 uint64_t sim_cycles, double host_wall_ms = 0.0,
-                 uint64_t sim_lines = 0) {
-    double lines_per_sec = -1.0;
-    if (sim_lines > 0 && host_wall_ms > 0) {
-      lines_per_sec = static_cast<double>(sim_lines) / (host_wall_ms / 1e3);
-    }
-    results_.push_back({series, x, sim_cycles, host_wall_ms, lines_per_sec});
+                 uint64_t sim_cycles) {
+    results_.push_back({series, x, sim_cycles});
   }
 
   /// Attaches the final registry snapshot.
@@ -53,17 +42,11 @@ class RunReport {
   /// Writes ToJson() to `path`, pretty-printed.
   Status WriteTo(const std::string& path) const;
 
-  /// Structural validation of a report document (the same checks the CI
-  /// schema job performs): required keys present with the right types.
-  static Status Validate(const Json& doc);
-
  private:
   struct Result {
     std::string series;
     std::string x;
     uint64_t sim_cycles;
-    double host_wall_ms = 0.0;
-    double lines_per_sec = -1.0;  // < 0: bench did not note sim lines
   };
 
   std::string name_;

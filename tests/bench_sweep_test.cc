@@ -77,25 +77,19 @@ void RegisterWorkload(SweepRunner* runner, PerWorker<Rig>* rigs,
       Rig& rig = rigs->Get();
       rig.memory.ResetState();
       engine::VolcanoEngine eng(&rig.table);
-      const uint64_t cycles = eng.Execute(Projection(k))->sim_cycles;
-      NoteSimLines(rig.memory);
-      return cycles;
+      return eng.Execute(Projection(k))->sim_cycles;
     });
     runner->Register("sweep/COL/" + x, table, "COL", x, [rigs, k] {
       Rig& rig = rigs->Get();
       rig.memory.ResetState();
       engine::VectorEngine eng(&rig.columns);
-      const uint64_t cycles = eng.Execute(Projection(k))->sim_cycles;
-      NoteSimLines(rig.memory);
-      return cycles;
+      return eng.Execute(Projection(k))->sim_cycles;
     });
     runner->Register("sweep/RM/" + x, table, "RM", x, [rigs, k] {
       Rig& rig = rigs->Get();
       rig.memory.ResetState();
       engine::RmExecEngine eng(&rig.table, &rig.rm);
-      const uint64_t cycles = eng.Execute(Projection(k))->sim_cycles;
-      NoteSimLines(rig.memory);
-      return cycles;
+      return eng.Execute(Projection(k))->sim_cycles;
     });
   }
 }
@@ -135,7 +129,6 @@ TEST(SweepRunnerTest, CellsBitIdenticalAcrossThreadCounts) {
           << "threads=8 drifted at (" << series << ", " << x << ")";
       // Sanity: the sweep simulated real work.
       EXPECT_GT(serial->Get(series, x), 0u);
-      EXPECT_GT(serial->GetCell(series, x).sim_lines, 0u);
     }
   }
 }
@@ -166,15 +159,6 @@ TEST(ResultTableTest, GetMissingCellDiesNamingTheCell) {
   EXPECT_DEATH(table.Get("ROW", "4 cols"), "series='ROW'");
 }
 
-TEST(ResultTableTest, HostWallAndLinesTravelWithTheCell) {
-  ResultTable table("cells");
-  table.Add("RM", "1", 1000, /*host_wall_ms=*/2.5, /*sim_lines=*/5000);
-  const ResultTable::Cell cell = table.GetCell("RM", "1");
-  EXPECT_EQ(cell.sim_cycles, 1000u);
-  EXPECT_DOUBLE_EQ(cell.host_wall_ms, 2.5);
-  EXPECT_EQ(cell.sim_lines, 5000u);
-}
-
 TEST(BenchArgsTest, ParsesThreadsFilterAndJson) {
   std::vector<std::string> storage = {"bench",        "--threads", "8",
                                       "--filter=RM/", "--json",    "out.json"};
@@ -194,16 +178,54 @@ TEST(BenchArgsTest, JsonFlagRejectsFlagLikePath) {
   std::vector<char*> argv;
   for (std::string& s : storage) argv.push_back(s.data());
   int argc = static_cast<int>(argv.size());
-  EXPECT_EXIT(ConsumeJsonFlag(&argc, argv.data()),
+  EXPECT_EXIT(ConsumePathFlag(&argc, argv.data(), "--json"),
               ::testing::ExitedWithCode(2), "starts with '-'");
 }
 
-TEST(BenchArgsTest, UnknownFlagExits) {
-  std::vector<std::string> storage = {"bench", "--benchmark_filter=x"};
+/// Runs ParseBenchArgs over `args` (argv[0] included).
+BenchArgs Parse(std::vector<std::string> args) {
   std::vector<char*> argv;
-  for (std::string& s : storage) argv.push_back(s.data());
+  for (std::string& s : args) argv.push_back(s.data());
   int argc = static_cast<int>(argv.size());
-  EXPECT_EXIT(ParseBenchArgs(&argc, argv.data()),
+  return ParseBenchArgs(&argc, argv.data());
+}
+
+TEST(BenchArgsTest, MalformedValuesExitNamingTheFlag) {
+  EXPECT_EXIT(Parse({"bench", "--list", "--filter", "("}),
+              ::testing::ExitedWithCode(2), "--filter: bad regex '\\('");
+  EXPECT_EXIT(Parse({"bench", "--threads", "3abc"}),
+              ::testing::ExitedWithCode(2),
+              "--threads: '3abc' is not a number in \\[1, ");
+  EXPECT_EXIT(Parse({"bench", "--threads=0"}), ::testing::ExitedWithCode(2),
+              "--threads: '0' is not a number");
+  EXPECT_EXIT(Parse({"bench", "--json=-report.json"}),
+              ::testing::ExitedWithCode(2),
+              "--json path '-report.json' starts with '-'");
+  EXPECT_EQ(Parse({"bench", "--filter=banks/1", "--threads=3"}).threads, 3);
+}
+
+TEST(BenchArgsTest, NumberFlagTakesOnlyANumberInRange) {
+  auto kill_p = [](std::vector<std::string> storage) {
+    std::vector<char*> argv;
+    for (std::string& s : storage) argv.push_back(s.data());
+    int argc = static_cast<int>(argv.size());
+    double p = 0.5;
+    ConsumeNumberFlag(&argc, argv.data(), "--kill-p", &p, 0.0, 1.0);
+    EXPECT_EQ(argc, 2);  // argv[0] and "--list" stay for ParseBenchArgs
+    return p;
+  };
+  EXPECT_EQ(kill_p({"bench", "--kill-p", "0.25", "--list"}), 0.25);
+  EXPECT_EQ(kill_p({"bench", "--list"}), 0.5);  // absent: unchanged
+  for (const char* bad : {"nan", "1.5", "-0.1", "0.2x", ""}) {
+    EXPECT_EXIT(kill_p({"bench", "--list", std::string("--kill-p=") + bad}),
+                ::testing::ExitedWithCode(2),
+                "--kill-p: '.*' is not a number in \\[0, 1\\]")
+        << bad;
+  }
+}
+
+TEST(BenchArgsTest, UnknownFlagExits) {
+  EXPECT_EXIT(Parse({"bench", "--benchmark_filter=x"}),
               ::testing::ExitedWithCode(2), "unknown flag");
 }
 

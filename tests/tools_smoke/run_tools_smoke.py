@@ -11,6 +11,7 @@ Everything runs off committed files; no build outputs are required, so
 this is safe as a tier-1 ctest.
 """
 
+import glob
 import json
 import os
 import subprocess
@@ -21,6 +22,8 @@ SMOKE_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(os.path.dirname(SMOKE_DIR))
 TOOLS = os.path.join(REPO_ROOT, "tools")
 DATA = os.path.join(SMOKE_DIR, "data")
+GOLDENS = sorted(glob.glob(os.path.join(REPO_ROOT, "bench", "golden",
+                                        "*.json")))
 GOLDEN = os.path.join(REPO_ROOT, "bench", "golden",
                       "ablation_selection.json")
 
@@ -66,10 +69,20 @@ def main():
             [tool("analyze_query_log.py"), "--strict", qlog_bad],
             expect_rc=1)
 
-        # validate_bench_json over a committed golden report and the
-        # smoke pair, then compare a report against itself.
+        # validate_bench_json over every committed golden report and the
+        # smoke data; a golden turned back into a v2 report with a
+        # host-time cell must fail. Then compare a report against itself.
         run("validate_bench_json",
-            [tool("validate_bench_json.py"), GOLDEN, base, armed, chaos])
+            [tool("validate_bench_json.py")] + GOLDENS + [base, armed, chaos])
+        with open(GOLDEN, encoding="utf-8") as f:
+            stale = json.load(f)
+        stale["schema_version"] = 2
+        stale["results"][0]["host_wall_ms"] = 1.0
+        stale_path = os.path.join(tmp, "stale_v2.json")
+        with open(stale_path, "w", encoding="utf-8") as f:
+            json.dump(stale, f)
+        run("validate_bench_json rejects a v2 report",
+            [tool("validate_bench_json.py"), stale_path], expect_rc=1)
         run("compare_bench_json",
             [tool("compare_bench_json.py"), GOLDEN, GOLDEN])
         run("compare_bench_json detects drift",

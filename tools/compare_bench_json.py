@@ -4,9 +4,9 @@
 Usage: tools/compare_bench_json.py <golden.json> <candidate.json>
 
 Compares the bench name and the full set of (series, x) -> sim_cycles
-cells. Host-side fields (host_wall_ms, sim_lines_per_host_sec), config
-and the metrics snapshot are ignored: they legitimately vary between
-machines, thread counts and fast-path modes, while sim_cycles must not.
+cells. The config block and the metrics snapshot are ignored: they
+legitimately vary between thread counts and fast-path modes, while
+sim_cycles must not.
 Exits 0 when the simulated results are identical, 1 with a cell-by-cell
 diff otherwise.
 """
