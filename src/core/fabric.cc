@@ -239,16 +239,10 @@ StatusOr<relmem::EphemeralView> Fabric::ConfigureView(
   if (entry.rows == nullptr) {
     return Status::InvalidArgument(
         "table '" + name +
-        "' is sharded; use ConfigureShardRange for ephemeral access");
+        "' is sharded; use ShardedTable::ConfigureRange for ephemeral "
+        "access");
   }
   return rm_.Configure(*entry.rows, std::move(geometry));
-}
-
-StatusOr<std::vector<relmem::EphemeralView>> Fabric::ConfigureShardRange(
-    const std::string& name, const relmem::Geometry& geometry, int64_t lo,
-    int64_t hi) {
-  RELFAB_ASSIGN_OR_RETURN(shard::ShardedTable * table, GetShardedTable(name));
-  return table->ConfigureRange(&rm_, geometry, lo, hi);
 }
 
 StatusOr<Fabric::SqlResult> Fabric::ExecuteSql(std::string_view sql,

@@ -147,16 +147,9 @@ class Fabric {
   /// Configures an ephemeral view of arbitrary geometry over a table
   /// (works for plain and versioned tables; for the latter pass a
   /// snapshot filter inside the geometry, e.g. table->SnapshotFilter()).
-  /// Sharded tables use ConfigureShardRange instead.
+  /// Sharded tables use ShardedTable::ConfigureRange instead.
   StatusOr<relmem::EphemeralView> ConfigureView(const std::string& name,
                                                 relmem::Geometry geometry);
-
-  /// Ephemeral views over the shards of sharded table `name`
-  /// intersecting key range [lo, hi] (shard-major; boundary shards get
-  /// residual key predicates pushed into the fabric).
-  StatusOr<std::vector<relmem::EphemeralView>> ConfigureShardRange(
-      const std::string& name, const relmem::Geometry& geometry, int64_t lo,
-      int64_t hi);
 
   // --- SQL ---
 

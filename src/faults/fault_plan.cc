@@ -160,6 +160,15 @@ bool IsKillSite(std::string_view name) {
          name.substr(name.size() - kSuffix.size()) == kSuffix;
 }
 
+uint64_t NameHash(std::string_view name) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : name) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 StatusOr<FaultPlan> FaultPlan::Parse(std::string_view spec) {
   FaultPlan plan;
   for (std::string_view entry : Split(spec, ';')) {

@@ -78,6 +78,12 @@ const SiteInfo* FindSite(std::string_view name);
 /// are executed by the HealthRegistry, not the per-operation injector.
 bool IsKillSite(std::string_view name);
 
+/// 64-bit FNV-1a of `name`. The injector's site streams and the health
+/// registry's component streams are seeded from it, so a stream depends
+/// on names only: adding a site to a plan, or arming in another order,
+/// does not shift the draws any other stream sees.
+uint64_t NameHash(std::string_view name);
+
 /// Parsed, validated fault configuration. Grammar (whitespace around
 /// tokens is ignored):
 ///

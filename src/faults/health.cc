@@ -3,20 +3,6 @@
 #include <sstream>
 
 namespace relfab::faults {
-namespace {
-
-/// FNV-1a (same constants as the injector's site-stream seeding): a
-/// component's stream depends on names only, never on arming order.
-uint64_t Fnv1a(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 std::string_view HealthStateName(HealthState state) {
   switch (state) {
@@ -82,7 +68,8 @@ bool HealthRegistry::DrawKill(std::string_view site,
   if (!c.rng_seeded) {
     // Derived seeding only: (plan seed, site name, component name) —
     // the same sanctioned scheme as FaultInjector::ResetStreams.
-    uint64_t mixed = seed_ ^ Fnv1a(site) ^ (Fnv1a(component) * 0x9e3779b97f4a7c15ull);
+    uint64_t mixed =
+        seed_ ^ NameHash(site) ^ (NameHash(component) * 0x9e3779b97f4a7c15ull);
     if (mixed == 0) mixed = 0x9e3779b97f4a7c15ull;
     // relfab-lint: allow(ambient-random) derived seeding from (plan seed, site, component) only — scheduling-invariant kill streams, see docs/robustness.md
     c.rng = Random(mixed);

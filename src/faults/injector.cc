@@ -7,17 +7,6 @@
 namespace relfab::faults {
 namespace {
 
-/// FNV-1a, so a site's stream depends on its name, not its rule index —
-/// adding a site to a plan does not shift the faults other sites see.
-uint64_t Fnv1a(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 /// "Never" gap for p = 0 sites: large enough that no simulated run
 /// reaches it, small enough that countdown arithmetic cannot overflow.
 constexpr uint64_t kInfiniteGap = uint64_t{1} << 62;
@@ -41,7 +30,7 @@ StatusOr<std::unique_ptr<FaultInjector>> FaultInjector::FromEnv() {
 
 uint64_t FaultInjector::SiteSeed(const std::string& site) const {
   // seed-dependent and site-dependent; never 0 (xorshift fixed point).
-  const uint64_t mixed = plan_.seed ^ Fnv1a(site);
+  const uint64_t mixed = plan_.seed ^ NameHash(site);
   return mixed == 0 ? 0x9e3779b97f4a7c15ull : mixed;
 }
 
@@ -161,14 +150,6 @@ void FaultInjector::ResetStreams() {
     sites_[i].rng = Random(SiteSeed(plan_.rules[i].site));
     sites_[i].backoff_spent = 0;
   }
-}
-
-void FaultInjector::ResetCounters() {
-  for (SiteState& s : sites_) {
-    s.checks = s.injected = s.retries = s.exhausted = 0;
-  }
-  fallbacks_.clear();
-  total_fallbacks_ = 0;
 }
 
 void FaultInjector::ExportTo(obs::Registry* registry) const {

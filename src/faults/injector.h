@@ -97,9 +97,6 @@ class FaultInjector {
   /// worker ran the previous cells.
   void ResetStreams();
 
-  /// Zeroes all counters (streams are kept).
-  void ResetCounters();
-
   /// Exports "faults.armed", per-site "faults.<site>.{checks,injected,
   /// retries,exhausted}" and "faults.fallbacks.{<from>,total}".
   void ExportTo(obs::Registry* registry) const;

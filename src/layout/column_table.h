@@ -2,7 +2,6 @@
 #define RELFAB_LAYOUT_COLUMN_TABLE_H_
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "common/logging.h"
@@ -41,32 +40,11 @@ class ColumnTable {
   }
 
   int64_t GetInt(uint32_t col, uint64_t row) const {
-    const uint8_t* p = ValuePtr(col, row);
-    switch (schema_.type(col)) {
-      case ColumnType::kInt32:
-      case ColumnType::kDate: {
-        int32_t v;
-        std::memcpy(&v, p, 4);
-        return v;
-      }
-      case ColumnType::kInt64: {
-        int64_t v;
-        std::memcpy(&v, p, 8);
-        return v;
-      }
-      default:
-        RELFAB_CHECK(false) << "GetInt on non-integer column " << col;
-        return 0;
-    }
+    return LoadInt(schema_.type(col), ValuePtr(col, row));
   }
 
   double GetDouble(uint32_t col, uint64_t row) const {
-    if (schema_.type(col) == ColumnType::kDouble) {
-      double v;
-      std::memcpy(&v, ValuePtr(col, row), 8);
-      return v;
-    }
-    return static_cast<double>(GetInt(col, row));
+    return LoadDouble(schema_.type(col), ValuePtr(col, row));
   }
 
   std::string_view GetChar(uint32_t col, uint64_t row) const {

@@ -121,32 +121,11 @@ class RowTable {
 
   // --- typed field access (functional only; callers charge the sim) ---
   int64_t GetInt(uint64_t row, uint32_t col) const {
-    const uint8_t* p = RowData(row) + schema_.offset(col);
-    switch (schema_.type(col)) {
-      case ColumnType::kInt32:
-      case ColumnType::kDate: {
-        int32_t v;
-        std::memcpy(&v, p, 4);
-        return v;
-      }
-      case ColumnType::kInt64: {
-        int64_t v;
-        std::memcpy(&v, p, 8);
-        return v;
-      }
-      default:
-        RELFAB_CHECK(false) << "GetInt on non-integer column " << col;
-        return 0;
-    }
+    return LoadInt(schema_.type(col), RowData(row) + schema_.offset(col));
   }
 
   double GetDouble(uint64_t row, uint32_t col) const {
-    if (schema_.type(col) == ColumnType::kDouble) {
-      double v;
-      std::memcpy(&v, RowData(row) + schema_.offset(col), 8);
-      return v;
-    }
-    return static_cast<double>(GetInt(row, col));
+    return LoadDouble(schema_.type(col), RowData(row) + schema_.offset(col));
   }
 
   std::string_view GetChar(uint64_t row, uint32_t col) const {

@@ -2,10 +2,12 @@
 #define RELFAB_LAYOUT_SCHEMA_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/status.h"
 #include "common/statusor.h"
 
@@ -30,6 +32,40 @@ uint32_t FixedWidthOf(ColumnType type);
 bool IsIntegerType(ColumnType type);
 
 std::string_view ColumnTypeToString(ColumnType type);
+
+/// Decodes the integer field (kInt32, kDate or kInt64) stored at `p`,
+/// widened to int64. Tables, views and cursors all read their fields
+/// through LoadInt and LoadDouble; callers charge the simulator.
+inline int64_t LoadInt(ColumnType type, const uint8_t* p) {
+  switch (type) {
+    case ColumnType::kInt32:
+    case ColumnType::kDate: {
+      int32_t v;
+      std::memcpy(&v, p, 4);
+      return v;
+    }
+    case ColumnType::kInt64: {
+      int64_t v;
+      std::memcpy(&v, p, 8);
+      return v;
+    }
+    default:
+      RELFAB_CHECK(false) << "LoadInt on non-integer type "
+                          << ColumnTypeToString(type);
+      return 0;
+  }
+}
+
+/// Decodes the numeric field stored at `p`: kDouble as stored, the
+/// integer types widened to double.
+inline double LoadDouble(ColumnType type, const uint8_t* p) {
+  if (type == ColumnType::kDouble) {
+    double v;
+    std::memcpy(&v, p, 8);
+    return v;
+  }
+  return static_cast<double>(LoadInt(type, p));
+}
 
 /// One column definition inside a schema.
 struct ColumnDef {

@@ -10,7 +10,6 @@
 #include "faults/injector.h"
 #include "faults/retry.h"
 #include "mvcc/versioned_table.h"
-#include "obs/registry.h"
 #include "obs/trace.h"
 
 namespace relfab::mvcc {
@@ -117,17 +116,6 @@ class TransactionManager {
     injector_ = injector;
     commit_site_ = injector == nullptr ? faults::FaultInjector::kNoSite
                                        : injector->Site("mvcc.commit");
-  }
-  void set_retry_policy(const faults::RetryPolicy& policy) {
-    retry_ = policy;
-  }
-
-  /// Publishes transaction counters under "mvcc.*".
-  void ExportTo(obs::Registry* registry) const {
-    registry->counter("mvcc.begins")->Set(next_txn_id_);
-    registry->counter("mvcc.commits")->Set(commits_);
-    registry->counter("mvcc.aborts")->Set(aborts_);
-    registry->counter("mvcc.clock")->Set(clock_);
   }
 
  private:

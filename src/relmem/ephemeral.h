@@ -2,7 +2,6 @@
 #define RELFAB_RELMEM_EPHEMERAL_H_
 
 #include <cstdint>
-#include <cstring>
 #include <string_view>
 #include <vector>
 
@@ -96,33 +95,11 @@ class EphemeralView {
     uint64_t row_index() const { return global_row_; }
 
     int64_t GetInt(uint32_t field) {
-      const uint8_t* p = FieldPtr(field);
-      switch (view_->field_type(field)) {
-        case layout::ColumnType::kInt32:
-        case layout::ColumnType::kDate: {
-          int32_t v;
-          std::memcpy(&v, p, 4);
-          return v;
-        }
-        case layout::ColumnType::kInt64: {
-          int64_t v;
-          std::memcpy(&v, p, 8);
-          return v;
-        }
-        default:
-          // relfab-lint: allow(data-check) field types are validated by the planner before execution; reaching here is a caller bug
-          RELFAB_CHECK(false) << "GetInt on non-integer field " << field;
-          return 0;
-      }
+      return layout::LoadInt(view_->field_type(field), FieldPtr(field));
     }
 
     double GetDouble(uint32_t field) {
-      if (view_->field_type(field) == layout::ColumnType::kDouble) {
-        double v;
-        std::memcpy(&v, FieldPtr(field), 8);
-        return v;
-      }
-      return static_cast<double>(GetInt(field));
+      return layout::LoadDouble(view_->field_type(field), FieldPtr(field));
     }
 
     std::string_view GetChar(uint32_t field) {

@@ -129,9 +129,6 @@ class RmEngine {
     gather_site_ = injector == nullptr ? faults::FaultInjector::kNoSite
                                        : injector->Site("rm.gather");
   }
-  void set_retry_policy(const faults::RetryPolicy& policy) {
-    retry_ = policy;
-  }
   faults::FaultInjector* fault_injector() const { return injector_; }
 
   /// Publishes the engine's production counters under "rm.*", plus a

@@ -89,9 +89,6 @@ class SsdModel {
     ship_site_ = injector == nullptr ? faults::FaultInjector::kNoSite
                                      : injector->Site("ssd.ship");
   }
-  void set_retry_policy(const faults::RetryPolicy& policy) {
-    retry_ = policy;
-  }
 
   const SsdParams& params() const { return params_; }
   uint64_t pages_read() const { return pages_read_; }

@@ -93,34 +93,15 @@ Status StorageTable::CompressColumn(
 int64_t StorageTable::GetInt(uint64_t row, uint32_t col) const {
   RELFAB_DCHECK(row < num_rows_);
   if (codecs_[col] != nullptr) return codecs_[col]->ValueAt(row);
-  const uint8_t* p = FieldPtr(row, col);
-  switch (schema_.type(col)) {
-    case layout::ColumnType::kInt32:
-    case layout::ColumnType::kDate: {
-      int32_t v;
-      std::memcpy(&v, p, 4);
-      return v;
-    }
-    case layout::ColumnType::kInt64: {
-      int64_t v;
-      std::memcpy(&v, p, 8);
-      return v;
-    }
-    default:
-      // relfab-lint: allow(data-check) column types are validated by ValidateScanTypes before execution; reaching here is a caller bug
-      RELFAB_CHECK(false) << "GetInt on non-integer column";
-      return 0;
-  }
+  return layout::LoadInt(schema_.type(col), FieldPtr(row, col));
 }
 
 double StorageTable::GetDouble(uint64_t row, uint32_t col) const {
-  if (schema_.type(col) == layout::ColumnType::kDouble) {
-    RELFAB_DCHECK(codecs_[col] == nullptr);
-    double v;
-    std::memcpy(&v, FieldPtr(row, col), 8);
-    return v;
+  if (codecs_[col] != nullptr) {
+    RELFAB_DCHECK(layout::IsIntegerType(schema_.type(col)));
+    return static_cast<double>(codecs_[col]->ValueAt(row));
   }
-  return static_cast<double>(GetInt(row, col));
+  return layout::LoadDouble(schema_.type(col), FieldPtr(row, col));
 }
 
 }  // namespace relfab::relstorage

@@ -72,8 +72,8 @@ class MemorySystem {
     uint64_t* brk =
         mem_class == MemClass::kFabricBuffer ? &fabric_brk_ : &dram_brk_;
     const uint64_t addr = *brk;
-    *brk += (bytes + params_.cache_line_bytes - 1) &
-            ~static_cast<uint64_t>(params_.cache_line_bytes - 1);
+    *brk += (bytes + kCacheLineBytes - 1) &
+            ~static_cast<uint64_t>(kCacheLineBytes - 1);
     if (mem_class == MemClass::kDram) {
       RELFAB_CHECK(*brk < kFabricBase) << "simulated DRAM exhausted";
     }
@@ -254,7 +254,7 @@ class MemorySystem {
   /// `misses * miss_cycles` replays the per-line sum exactly).
   uint64_t GatherRun(uint64_t addr, uint64_t n) {
     uint64_t misses = 0;
-    dram_.AccessRun(addr, n, params_.cache_line_bytes, &misses);
+    dram_.AccessRun(addr, n, kCacheLineBytes, &misses);
     AddRepeated(&channel_busy_cycles_, params_.line_transfer_cycles, n);
     stats_.dram_lines_gather += n;
     ++fastpath_runs_;
@@ -460,6 +460,7 @@ class MemorySystem {
 
  private:
   static constexpr uint32_t kLineShift = 6;  // 64 B lines
+  static_assert(kCacheLineBytes == 1u << kLineShift);
   static constexpr uint64_t kNoLine = ~0ull;
 
   /// Consumes `n` DRAM-line events from the ECC countdown; every expiry
@@ -568,8 +569,7 @@ class MemorySystem {
     stats_.dram_lines_demand += n;
     AddRepeated(&cpu_cycles_, params_.prefetch_covered_cycles, n);
     AddRepeated(&channel_busy_cycles_, params_.line_transfer_cycles, n);
-    dram_.AccessRun(line << kLineShift, n, params_.cache_line_bytes,
-                    nullptr);
+    dram_.AccessRun(line << kLineShift, n, kCacheLineBytes, nullptr);
     l2_.InsertRun(line, n);
     l1_.InsertRun(line, n);
     ++fastpath_runs_;

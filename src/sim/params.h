@@ -6,6 +6,11 @@
 
 namespace relfab::sim {
 
+/// Bytes per cache line. A constant, not a SimParams knob: the simulator,
+/// the RM engine and the scan engines compute line indices with 64-byte
+/// shifts and masks throughout.
+inline constexpr uint32_t kCacheLineBytes = 64;
+
 /// Memory class of an allocation. kDram is the normal off-chip path (cache
 /// hierarchy + DRAM banks + channel bandwidth); kFabricBuffer models the
 /// Relational Memory fill buffer that lives in the programmable logic —
@@ -45,7 +50,6 @@ struct NetworkParams {
 /// constants themselves.
 struct SimParams {
   // --- geometry ---
-  uint32_t cache_line_bytes = 64;
   uint32_t l1_bytes = 32 * 1024;
   uint32_t l1_ways = 4;
   uint32_t l2_bytes = 1024 * 1024;
@@ -129,7 +133,7 @@ struct SimParams {
   }
 
   uint32_t l1_sets() const {
-    return l1_bytes / (cache_line_bytes * l1_ways);
+    return l1_bytes / (kCacheLineBytes * l1_ways);
   }
   /// Bytes one demand Read may cover, from any start offset, and still
   /// leave every line it touched the MRU of its L1 set: l1_sets() - 1
@@ -139,10 +143,10 @@ struct SimParams {
   /// on a line boundary, and its last line takes over its first line's
   /// set.
   uint64_t l1_mru_span_bytes() const {
-    return static_cast<uint64_t>(l1_sets() - 1) * cache_line_bytes;
+    return static_cast<uint64_t>(l1_sets() - 1) * kCacheLineBytes;
   }
   uint32_t l2_sets() const {
-    return l2_bytes / (cache_line_bytes * l2_ways);
+    return l2_bytes / (kCacheLineBytes * l2_ways);
   }
 };
 

@@ -120,6 +120,14 @@ TEST(FaultPlanTest, KindToStatusCodeMapping) {
   EXPECT_FALSE(IsFabricFault(Status::Ok()));
 }
 
+// Every fault and death schedule is seeded from NameHash, so it must stay
+// the published 64-bit FNV-1a: a changed hash would move every schedule
+// while each run still agreed with itself.
+TEST(FaultPlanTest, NameHashIsFnv1a64) {
+  EXPECT_EQ(NameHash(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(NameHash("a"), 0xaf63dc4c8601ec8cull);
+}
+
 // --------------------------------------------------------- FaultInjector
 
 TEST(FaultInjectorTest, SiteResolvesOnlyArmedSites) {

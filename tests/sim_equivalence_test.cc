@@ -380,7 +380,7 @@ TEST(SimEquivalence, DramAccessRunMatchesSequentialAccesses) {
     const uint64_t n = 1 + rng.Uniform(2000);
     uint64_t misses = 0;
     const double bulk_cycles =
-        bulk.AccessRun(addr, n, params.cache_line_bytes, &misses);
+        bulk.AccessRun(addr, n, sim::kCacheLineBytes, &misses);
     double seq_cycles = 0;
     uint64_t seq_misses = 0;
     for (uint64_t i = 0; i < n; ++i) {

@@ -392,12 +392,11 @@ TEST(MemorySystemTest, StatsAccumulateAndPrint) {
 TEST(MemorySystemTest, MruSpanBoundHoldsAtEveryLineOffset) {
   const SimParams params = SimParams::ZynqA53Defaults();
   const uint64_t bound = params.l1_mru_span_bytes();
-  const uint64_t all_sets =
-      uint64_t{params.l1_sets()} * params.cache_line_bytes;
+  const uint64_t all_sets = uint64_t{params.l1_sets()} * kCacheLineBytes;
   for (const bool fast_path : {true, false}) {
     SCOPED_TRACE(fast_path ? "fast path" : "reference path");
     bool all_sets_broke = false;
-    for (uint64_t offset = 0; offset < params.cache_line_bytes; ++offset) {
+    for (uint64_t offset = 0; offset < kCacheLineBytes; ++offset) {
       for (const uint64_t bytes : {bound, all_sets}) {
         MemorySystem mem(params);
         mem.set_fast_path(fast_path);

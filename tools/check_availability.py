@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Asserts the availability floor of a workload_chaos run report.
+"""Asserts the availability floor of a workload_mixed kill-plan run report.
 
 Usage: tools/check_availability.py --min-answered F [--max-unavailable F]
                                    <report.json> [...]
 
-Reads the "workload.*" counters a workload_chaos `--json` report embeds
+Reads the "workload.*" counters a workload_mixed `--json` report embeds
 in its metrics snapshot and fails if the answered fraction falls below
 the floor (or the unavailable fraction exceeds the ceiling). CI runs
-this over several kill-plan seeds: with replicas >= 2 the failure-domain
-machinery must keep answering through permanent replica deaths.
+this over several kill-plan seeds (`--kill-p 0.004 --kill-seed S`):
+with replicas >= 2 the failure-domain machinery must keep answering
+through permanent replica deaths.
 """
 
 import json

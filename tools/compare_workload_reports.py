@@ -6,11 +6,11 @@ Usage: tools/compare_workload_reports.py <a.json> <b.json>
 
 The two reports may come from runs at different host thread counts or
 simulator modes; per-session simulated cycles and the entire metrics
-snapshot — merged latency digests (`digest.*`, full bucket sketches)
-and workload totals — must still match exactly. The config block
-(which records the differing thread count) is the only part allowed to
-differ. CI runs this across `--threads 1` vs `4` and fast-path vs
-reference reports.
+snapshot — merged latency digests (`digest.*`, full bucket sketches),
+workload totals and the availability split — must still match exactly.
+The config block (which records the differing thread count) is the only
+part allowed to differ. CI runs this across `--threads 1` vs `4` and
+fast-path vs reference reports, fault-free and under a kill plan.
 """
 
 import json
